@@ -180,7 +180,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	})
 	b.Run("materialized-load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := patch.Load(path); err != nil {
+			if _, err := patch.Load(path, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

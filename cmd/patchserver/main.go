@@ -67,8 +67,8 @@ func main() {
 	uniqueRate := flag.Float64("unique-rate", 0.05, "uniqueness exception rate for -demo custom")
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
 	walPath := flag.String("wal", "", "write-ahead log path (enables durability of index definitions)")
-	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery)")
-	dataDir := flag.String("data-dir", "", "data directory for full durability: compressed column segments, manifest, WAL (supersedes -wal/-indexdir)")
+	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery; ignored with -data-dir)")
+	dataDir := flag.String("data-dir", "", "data directory for full durability: compressed column segments, manifest, WAL (supersedes -wal/-indexdir; checkpoints save patch sets)")
 	cacheMB := flag.Int("cache-mb", 0, "column cache byte budget in MB for -data-dir mode (0 = unlimited)")
 	spillMB := flag.Int("spill-mb", 0, "per-operator memory budget in MB before Sort/HashJoin spill to disk (0 = never spill)")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "seconds between background checkpoints in -data-dir mode (0 = manual CHECKPOINT only)")

@@ -79,7 +79,8 @@ type Config struct {
 	// IndexDir, when non-empty, materializes PatchIndex data to disk (one
 	// file per index) — the first design alternative of Section V. Recover
 	// restores materialized indexes in O(|P_c|) and falls back to
-	// re-discovery when a file is missing or corrupt.
+	// re-discovery when a file is missing, corrupt or stale. Ignored in
+	// durable mode (DataDir), whose checkpoints write the patch sets.
 	IndexDir string
 	// Metrics is the registry receiving engine-wide counters and latency
 	// histograms. When nil a private registry is created, so Engine.Metrics
@@ -152,11 +153,13 @@ type Config struct {
 	// DataDir enables durable storage mode: partitions flush to compressed
 	// segment files under DataDir/segs, the catalog manifest lives at
 	// DataDir/MANIFEST.json, ingest is write-ahead logged to a generation
-	// file (DataDir/wal.gN.log) rotated by CHECKPOINT, and decoded column
-	// payloads are governed by the clock cache. WALPath is ignored in this
-	// mode (the data directory owns its log); IndexDir defaults to
-	// DataDir/idx. Opening an existing DataDir restores the checkpointed
-	// state and replays the WAL suffix automatically — no Recover call.
+	// file (DataDir/wal.gN.log) rotated by CHECKPOINT, every PatchIndex's
+	// patch set is saved with each checkpoint generation, and decoded column
+	// payloads are governed by the clock cache. WALPath and IndexDir are
+	// ignored in this mode (the data directory owns its log and its index
+	// files). Opening an existing DataDir loads the checkpointed tables and
+	// patch sets and replays the WAL suffix automatically — no Recover call
+	// and no rediscovery.
 	DataDir string
 	// CacheBytes budgets the decoded-column clock cache in durable mode
 	// (<= 0 means unlimited: nothing is ever evicted). Dirty and pinned
@@ -253,12 +256,16 @@ type Engine struct {
 	// gen/walPath track the current checkpoint generation and its WAL file;
 	// replaying suppresses re-logging while the WAL suffix applies through
 	// the ordinary append path; checkpointMu serializes checkpoints.
+	// indexFiles maps each index to the patch-set file of the last manifest
+	// that holds it; it is read and replaced only under checkpointMu or
+	// before the engine is shared.
 	cache        *storage.Cache
 	recovery     RecoveryStats
 	gen          uint64
 	walPath      string
 	replaying    bool
 	checkpointMu sync.Mutex
+	indexFiles   map[*patch.Index]indexFile
 }
 
 // New creates an engine. If cfg.WALPath is set the log is opened (or
@@ -317,9 +324,9 @@ func New(cfg Config) (*Engine, error) {
 	e.resultCache = serving.NewResultCache(cfg.ResultCacheBytes, e.metrics)
 	e.resultCache.SetEnabled(cfg.ResultCache)
 	if cfg.DataDir != "" {
-		if e.cfg.IndexDir == "" {
-			e.cfg.IndexDir = filepath.Join(cfg.DataDir, "idx")
-		}
+		// The checkpoint generation owns the patch-set files in durable
+		// mode; see persist.go.
+		e.cfg.IndexDir = ""
 		e.cache = storage.NewCache(cfg.CacheBytes)
 		e.cache.SetMetrics(e.metrics)
 		if err := e.openDataDir(); err != nil {
@@ -1380,14 +1387,15 @@ func (e *Engine) createIndexNoLog(r *wal.CreateIndexRecord) (*patch.Index, error
 	// data. Fall back to re-discovery when the file is missing, corrupt, or
 	// does not match the reloaded table.
 	if e.cfg.IndexDir != "" {
-		path := e.indexPath(r.Table, r.Column, patch.Constraint(r.Constraint))
-		if ix, err := patch.Load(path); err == nil {
-			if e.materializedMatches(ix, t) {
-				if err := e.cat.AddIndex(ix); err != nil {
-					return nil, err
-				}
-				return ix, nil
+		rows := make([]int, t.NumPartitions())
+		for p := range rows {
+			rows[p] = t.Partition(p).NumRows()
+		}
+		if ix := loadIndexFile(e.indexPath(r.Table, r.Column, patch.Constraint(r.Constraint)), r, rows); ix != nil {
+			if err := e.cat.AddIndex(ix); err != nil {
+				return nil, err
 			}
+			return ix, nil
 		}
 	}
 	ix, err := discovery.BuildIndex(t, r.Column, patch.Constraint(r.Constraint), discovery.BuildOptions{
@@ -1415,19 +1423,16 @@ func (e *Engine) indexPath(table, column string, c patch.Constraint) string {
 	return filepath.Join(e.cfg.IndexDir, fmt.Sprintf("%s.%s.%s.pidx", table, column, kind))
 }
 
-// materializedMatches verifies a loaded index against the current table
-// shape (partition count and per-partition row counts).
-func (e *Engine) materializedMatches(ix *patch.Index, t *storage.Table) bool {
-	if ix.NumPartitions() != t.NumPartitions() {
-		return false
+// loadIndexFile loads a materialized index and accepts it only if it is the
+// index r defines, over partitions of exactly rows rows; nil means the
+// caller rediscovers.
+func loadIndexFile(path string, r *wal.CreateIndexRecord, rows []int) *patch.Index {
+	ix, err := patch.Load(path, rows)
+	if err != nil || ix.Table() != r.Table || ix.Column() != r.Column ||
+		ix.Constraint() != patch.Constraint(r.Constraint) || ix.Descending() != r.Descending {
+		return nil
 	}
-	for p := 0; p < t.NumPartitions(); p++ {
-		set := ix.Partition(p)
-		if set == nil || set.NumRows() != t.Partition(p).NumRows() {
-			return false
-		}
-	}
-	return true
+	return ix
 }
 
 func (e *Engine) runShow(s *sql.ShowStmt) (*Result, error) {

@@ -9,11 +9,12 @@ import (
 
 // Manifest is the checkpoint catalog written alongside segment files: which
 // tables exist, which segment file holds each partition, which PatchIndexes
-// were defined, and which WAL file holds the post-checkpoint suffix. A
-// checkpoint writes the new manifest with an atomic rename, which is the
-// commit point — the old WAL and superseded segment generations become
-// orphans the moment the rename lands, and a crash on either side of it
-// recovers from a consistent (old or new) pairing of manifest + WAL.
+// were defined and which file holds each one's patch set, and which WAL file
+// holds the post-checkpoint suffix. A checkpoint writes the new manifest
+// with an atomic rename, which is the commit point — the old WAL and
+// superseded segment and index generations become orphans the moment the
+// rename lands, and a crash on either side of it recovers from a consistent
+// (old or new) pairing of manifest + WAL.
 type Manifest struct {
 	Version    int             `json:"version"`
 	Generation uint64          `json:"generation"`
@@ -43,10 +44,12 @@ type ManifestPartition struct {
 	Rows int    `json:"rows"`
 }
 
-// ManifestIndex records one PatchIndex definition — enough to restore it via
-// the materialized file or rediscovery, mirroring the WAL's create-index
-// record. The patches themselves are never in the manifest (Section V: keep
-// the log slim; the same applies here).
+// ManifestIndex records one PatchIndex definition, mirroring the WAL's
+// create-index record, and the checkpointed patch-set file (relative to the
+// manifest's directory) that restores it without rediscovery. The patches
+// are referenced by file, never inlined (Section V: keep the log slim; the
+// same applies here). An empty File — an unbuilt index, or a manifest
+// written before index files existed — restores by rediscovery.
 type ManifestIndex struct {
 	Table      string  `json:"table"`
 	Column     string  `json:"column"`
@@ -54,6 +57,7 @@ type ManifestIndex struct {
 	Kind       uint8   `json:"kind"`
 	Threshold  float64 `json:"threshold"`
 	Descending bool    `json:"descending,omitempty"`
+	File       string  `json:"file,omitempty"`
 }
 
 // SaveManifest writes the manifest atomically: temp file, fsync, rename,

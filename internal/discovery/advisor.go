@@ -50,39 +50,24 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 	var out []Proposal
 	schema := table.Schema()
 	for colIdx, col := range schema.Columns {
-		totalRows, nucPatches, nscPatches, nscDescPatches := 0, 0, 0, 0
-		counts := make(map[string]int)
-		var buf []byte
-		// Global duplicate counting pass (NUC is global across partitions).
-		for p := 0; p < table.NumPartitions(); p++ {
+		totalRows, nscPatches, nscDescPatches := 0, 0, 0
+		parts := make([]*vector.Vector, table.NumPartitions())
+		for p := range parts {
 			v := sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, table.NumPartitions())
+			parts[p] = v
 			n := v.Len()
 			totalRows += n
-			for i := 0; i < n; i++ {
-				if v.IsNull(i) {
-					continue
-				}
-				buf = encodeElem(buf[:0], v, i)
-				counts[string(buf)]++
-			}
-		}
-		for p := 0; p < table.NumPartitions(); p++ {
-			v := sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, table.NumPartitions())
-			n := v.Len()
-			for i := 0; i < n; i++ {
-				if v.IsNull(i) {
-					nucPatches++
-					continue
-				}
-				buf = encodeElem(buf[:0], v, i)
-				if counts[string(buf)] > 1 {
-					nucPatches++
-				}
-			}
 			nscPatches += n - LongestSortedSubsequenceLength(v, false)
 			if cfg.CheckDescending {
 				nscDescPatches += n - LongestSortedSubsequenceLength(v, true)
 			}
+		}
+		// Duplicate counting is global: NUC spans partitions.
+		var nucPatches int
+		if FixedWidthKey(col.Typ) {
+			nucPatches = countNUCPatches(parts, Key64)
+		} else {
+			nucPatches = countNUCPatches(parts, StringKey)
 		}
 		if totalRows == 0 {
 			continue
@@ -104,6 +89,20 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ExceptionRate < out[j].ExceptionRate })
 	return out
+}
+
+// countNUCPatches counts the NUC patches of a column split into parts:
+// every NULL and every occurrence of a value seen more than once.
+func countNUCPatches[K comparable](parts []*vector.Vector, key KeyFunc[K]) int {
+	counts := make(map[K]int)
+	for _, v := range parts {
+		countInto(counts, v, key)
+	}
+	patches := 0
+	for _, v := range parts {
+		patches += len(duplicateRows(v, key, counts))
+	}
+	return patches
 }
 
 func proposal(table, column string, c patch.Constraint, desc bool, rate float64, rows int) Proposal {

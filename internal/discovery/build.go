@@ -166,48 +166,37 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 // into the global count serially, then patch extraction — a read-only probe
 // of the merged map — fans out per partition again.
 func discoverNUCGlobal(table *storage.Table, colIdx int, workers int) []Result {
+	if FixedWidthKey(table.Schema().Columns[colIdx].Typ) {
+		return discoverNUCGlobalKeyed(table, colIdx, workers, Key64)
+	}
+	return discoverNUCGlobalKeyed(table, colIdx, workers, StringKey)
+}
+
+func discoverNUCGlobalKeyed[K comparable](table *storage.Table, colIdx int, workers int, key KeyFunc[K]) []Result {
 	nParts := table.NumPartitions()
-	partCounts := make([]map[string]int, nParts)
+	partCounts := make([]map[K]int, nParts)
 	forEachPartition(nParts, workers, func(p int) {
 		col := table.Partition(p).Column(colIdx)
-		n := col.Len()
-		local := make(map[string]int, n)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			buf = encodeElem(buf[:0], col, i)
-			local[string(buf)]++
-		}
+		local := make(map[K]int, col.Len())
+		countInto(local, col, key)
 		partCounts[p] = local
 	})
 	counts := partCounts[0]
 	if nParts > 1 {
-		counts = make(map[string]int)
-		for _, local := range partCounts {
+		// Presize for the common case of a nearly unique column: about as
+		// many distinct values as rows.
+		counts = make(map[K]int, table.NumRows())
+		for p, local := range partCounts {
 			for k, c := range local {
 				counts[k] += c
 			}
+			partCounts[p] = nil
 		}
 	}
 	out := make([]Result, nParts)
 	forEachPartition(nParts, workers, func(p int) {
 		col := table.Partition(p).Column(colIdx)
-		n := col.Len()
-		var patches []uint64
-		var buf []byte
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				patches = append(patches, uint64(i))
-				continue
-			}
-			buf = encodeElem(buf[:0], col, i)
-			if counts[string(buf)] > 1 {
-				patches = append(patches, uint64(i))
-			}
-		}
-		out[p] = Result{Patches: patches, NumRows: n}
+		out[p] = Result{Patches: duplicateRows(col, key, counts), NumRows: col.Len()}
 	})
 	return out
 }

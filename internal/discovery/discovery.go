@@ -7,9 +7,7 @@
 package discovery
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"patchindex/internal/vector"
@@ -44,28 +42,37 @@ func (r Result) Qualifies(threshold float64) bool {
 // the hash-based equivalent of the paper's SQL discovery query (group by
 // with count(*) > 1, outer-joined back to the table).
 func DiscoverNUC(col *vector.Vector) Result {
-	n := col.Len()
-	counts := make(map[string]int, n)
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if col.IsNull(i) {
-			continue
-		}
-		buf = encodeElem(buf[:0], col, i)
-		counts[string(buf)]++
+	if FixedWidthKey(col.Typ) {
+		return discoverNUC(col, Key64)
 	}
+	return discoverNUC(col, StringKey)
+}
+
+func discoverNUC[K comparable](col *vector.Vector, key KeyFunc[K]) Result {
+	counts := make(map[K]int, col.Len())
+	countInto(counts, col, key)
+	return Result{Patches: duplicateRows(col, key, counts), NumRows: col.Len()}
+}
+
+// countInto adds the occurrences of every non-NULL value of col to counts.
+func countInto[K comparable](counts map[K]int, col *vector.Vector, key KeyFunc[K]) {
+	for i, n := 0, col.Len(); i < n; i++ {
+		if !col.IsNull(i) {
+			counts[key(col, i)]++
+		}
+	}
+}
+
+// duplicateRows lists the rows of col whose value occurs more than once
+// according to counts, plus every NULL row, ascending.
+func duplicateRows[K comparable](col *vector.Vector, key KeyFunc[K], counts map[K]int) []uint64 {
 	var patches []uint64
-	for i := 0; i < n; i++ {
-		if col.IsNull(i) {
-			patches = append(patches, uint64(i))
-			continue
-		}
-		buf = encodeElem(buf[:0], col, i)
-		if counts[string(buf)] > 1 {
+	for i, n := 0, col.Len(); i < n; i++ {
+		if col.IsNull(i) || counts[key(col, i)] > 1 {
 			patches = append(patches, uint64(i))
 		}
 	}
-	return Result{Patches: patches, NumRows: n}
+	return patches
 }
 
 // DiscoverNSC computes a minimal set of patches whose exclusion leaves the
@@ -149,38 +156,24 @@ func LongestSortedSubsequenceLength(col *vector.Vector, descending bool) int {
 	return len(tails)
 }
 
-// encodeElem produces an injective per-type key encoding for duplicate
-// detection (same scheme as the execution engine's group-key encoding).
-func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
-	switch v.Typ {
-	case vector.Int64, vector.Date:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
-	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[i]))
-	case vector.String:
-		buf = append(buf, v.Str[i]...)
-	case vector.Bool:
-		if v.B[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
 // VerifyNUC checks conditions (NUC1) and (NUC2) for a proposed patch set:
 // the non-patch values must be unique and must not intersect the patch
 // values. Used by tests and by the WAL replay sanity check.
 func VerifyNUC(col *vector.Vector, patches []uint64) error {
+	if FixedWidthKey(col.Typ) {
+		return verifyNUC(col, patches, Key64)
+	}
+	return verifyNUC(col, patches, StringKey)
+}
+
+func verifyNUC[K comparable](col *vector.Vector, patches []uint64, key KeyFunc[K]) error {
 	isPatch := make(map[uint64]bool, len(patches))
 	for _, p := range patches {
 		isPatch[p] = true
 	}
-	seen := make(map[string]bool)
-	patchVals := make(map[string]bool)
-	var buf []byte
 	n := col.Len()
+	seen := make(map[K]bool, n-len(patches))
+	patchVals := make(map[K]bool, len(patches))
 	for i := 0; i < n; i++ {
 		if col.IsNull(i) {
 			if !isPatch[uint64(i)] {
@@ -188,15 +181,15 @@ func VerifyNUC(col *vector.Vector, patches []uint64) error {
 			}
 			continue
 		}
-		buf = encodeElem(buf[:0], col, i)
+		k := key(col, i)
 		if isPatch[uint64(i)] {
-			patchVals[string(buf)] = true
+			patchVals[k] = true
 			continue
 		}
-		if seen[string(buf)] {
+		if seen[k] {
 			return fmt.Errorf("discovery: NUC1 violated: duplicate non-patch value at row %d", i)
 		}
-		seen[string(buf)] = true
+		seen[k] = true
 	}
 	for v := range patchVals {
 		if seen[v] {

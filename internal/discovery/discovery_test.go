@@ -1,6 +1,9 @@
 package discovery
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -315,5 +318,49 @@ func TestFloatAndBoolEncoding(t *testing.T) {
 	res = DiscoverNUC(bv)
 	if len(res.Patches) != 2 {
 		t.Errorf("bool dups: %v", res.Patches)
+	}
+}
+
+// TestTypedKeyMatchesEncodedKey: discovery with the typed uint64 key finds
+// the same patches as keying by the value's 8-byte image as a string,
+// including floats whose bits differ but which compare equal (±0) or never
+// equal (NaN payloads).
+func TestTypedKeyMatchesEncodedKey(t *testing.T) {
+	encoded := func(v *vector.Vector, i int) string {
+		switch v.Typ {
+		case vector.Float64:
+			return string(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v.F64[i])))
+		case vector.Bool:
+			return fmt.Sprint(v.B[i])
+		default:
+			return string(binary.LittleEndian.AppendUint64(nil, uint64(v.I64[i])))
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0x7ff8000000000002), 2.5}
+	rng := rand.New(rand.NewSource(5))
+	for _, typ := range []vector.Type{vector.Int64, vector.Float64, vector.Date, vector.Bool} {
+		col := vector.New(typ, 400)
+		for i := 0; i < 400; i++ {
+			switch {
+			case i%53 == 0:
+				col.AppendNull()
+			case typ == vector.Float64 && rng.Intn(3) == 0:
+				col.AppendFloat64(floats[rng.Intn(len(floats))])
+			case typ == vector.Float64:
+				col.AppendFloat64(float64(rng.Intn(800)) / 2)
+			case typ == vector.Bool:
+				col.AppendBool(i < 3)
+			default:
+				col.AppendInt64(int64(rng.Intn(800)))
+			}
+		}
+		got, want := DiscoverNUC(col), discoverNUC(col, encoded)
+		if fmt.Sprint(got.Patches) != fmt.Sprint(want.Patches) {
+			t.Errorf("%v: typed key %v, encoded key %v", typ, got.Patches, want.Patches)
+		}
+		if err := VerifyNUC(col, got.Patches); err != nil {
+			t.Errorf("%v: %v", typ, err)
+		}
 	}
 }

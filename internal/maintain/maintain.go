@@ -7,32 +7,44 @@
 //     patch values. An incoming duplicate of a non-patch value turns *both*
 //     rows into patches (condition NUC2 demands all occurrences); duplicates
 //     of patch values and NULLs become patches directly. The maintained set
-//     stays minimal.
+//     stays minimal. Fixed-width columns key both maps by the value's 8-byte
+//     image (discovery.Key64), strings by the string.
 //   - NSC: the last non-patch value per partition. An incoming value that
 //     continues the order extends the sorted subsequence; anything else
 //     becomes a patch. This greedy rule is correct (NSC1 always holds) but,
 //     unlike full re-discovery, not guaranteed minimal — a single huge value
 //     can push later values into the patch set. ExceptionRate drift can be
 //     detected via Index.ExceptionRate and repaired by re-creating the index.
+//
+// After a durable restart the engine loads the checkpointed patch sets and
+// builds maintainers from them: the NUC maps from one read of the column,
+// the NSC state from one value per partition (a 1-row decode when the
+// partition is clean on disk). The WAL suffix then replays through
+// Set.Append like any other append — nothing is rediscovered.
 package maintain
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"strings"
 	"time"
 
+	"patchindex/internal/discovery"
 	"patchindex/internal/obs"
 	"patchindex/internal/patch"
 	"patchindex/internal/storage"
 	"patchindex/internal/vector"
 )
 
-// rowRef locates a row of a partitioned table.
-type rowRef struct {
-	part int
-	row  uint64
-}
+// rowRef locates a row of a partitioned table: the partition in the high 24
+// bits, the partition-local row id in the low 40.
+type rowRef uint64
+
+const rowBits = 40
+
+func makeRowRef(part int, row uint64) rowRef { return rowRef(uint64(part)<<rowBits | row) }
+
+func (r rowRef) part() int   { return int(r >> rowBits) }
+func (r rowRef) row() uint64 { return uint64(r) & (1<<rowBits - 1) }
 
 // Maintainer incrementally maintains one PatchIndex under appends.
 type Maintainer struct {
@@ -40,18 +52,19 @@ type Maintainer struct {
 	ix    *patch.Index
 	col   int
 
-	// NUC state.
-	nonPatch  map[string]rowRef
-	patchVals map[string]struct{}
+	// NUC state (nil for a NSC).
+	nuc nucState
 
 	// NSC state: last non-patch value per partition (nil if none yet).
 	lastVal []vector.Value
 	hasLast []bool
 }
 
-// NewMaintainer builds the auxiliary state for an existing index by scanning
-// the table once (the same cost class as the index creation itself; every
-// append afterwards is O(rows appended)).
+// NewMaintainer builds the auxiliary state for an existing index. A NUC
+// reads the column once to key every value (the index's patch set says
+// which are patch values); a NSC reads one value per partition, the last
+// non-patch row, which the patch set locates. Every append afterwards is
+// O(rows appended).
 func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 	if !ix.Ready() {
 		return nil, fmt.Errorf("maintain: index %s.%s is not built", ix.Table(), ix.Column())
@@ -66,37 +79,24 @@ func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 	m := &Maintainer{table: table, ix: ix, col: col}
 	switch ix.Constraint() {
 	case patch.NearlyUnique:
-		m.nonPatch = make(map[string]rowRef)
-		m.patchVals = make(map[string]struct{})
-		var buf []byte
-		for p := 0; p < table.NumPartitions(); p++ {
-			v := table.Partition(p).Column(col)
-			set := ix.Partition(p)
-			for i := 0; i < v.Len(); i++ {
-				if v.IsNull(i) {
-					continue // NULLs carry no value identity
-				}
-				buf = encodeElem(buf[:0], v, i)
-				if set.Contains(uint64(i)) {
-					m.patchVals[string(buf)] = struct{}{}
-				} else {
-					m.nonPatch[string(buf)] = rowRef{part: p, row: uint64(i)}
-				}
-			}
+		if discovery.FixedWidthKey(table.Schema().Columns[col].Typ) {
+			m.nuc = newNUCMaps(table, ix, col, discovery.Key64)
+		} else {
+			m.nuc = newNUCMaps(table, ix, col, ownedStringKey)
 		}
 	case patch.NearlySorted:
 		m.lastVal = make([]vector.Value, table.NumPartitions())
 		m.hasLast = make([]bool, table.NumPartitions())
 		for p := 0; p < table.NumPartitions(); p++ {
-			v := table.Partition(p).Column(col)
-			set := ix.Partition(p)
-			for i := v.Len() - 1; i >= 0; i-- {
-				if !set.Contains(uint64(i)) {
-					m.lastVal[p] = v.Value(i)
-					m.hasLast[p] = true
-					break
-				}
+			row, ok := lastNonPatch(ix.Partition(p))
+			if !ok {
+				continue
 			}
+			v, err := valueAt(table, p, col, row)
+			if err != nil {
+				return nil, err
+			}
+			m.lastVal[p], m.hasLast[p] = v, true
 		}
 	default:
 		return nil, fmt.Errorf("maintain: unknown constraint %v", ix.Constraint())
@@ -108,59 +108,129 @@ func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 func (m *Maintainer) Index() *patch.Index { return m.ix }
 
 // classify processes the appended column values of one partition, returning
-// the patch ids to add (local to the partition; may include pre-existing
-// rows for NUC retro-patching, encoded as (part,row) pairs).
+// the patch ids to add (local to the partition) and, for NUC retro-patching,
+// pre-existing rows that turned into patches.
 func (m *Maintainer) classify(part int, vals *vector.Vector, baseRow uint64) (newIDs []uint64, retro []rowRef) {
-	n := vals.Len()
-	switch m.ix.Constraint() {
-	case patch.NearlyUnique:
-		var buf []byte
-		for i := 0; i < n; i++ {
-			row := baseRow + uint64(i)
-			if vals.IsNull(i) {
-				newIDs = append(newIDs, row)
-				continue
-			}
-			buf = encodeElem(buf[:0], vals, i)
-			key := string(buf)
-			if _, isPatchVal := m.patchVals[key]; isPatchVal {
-				newIDs = append(newIDs, row)
-				continue
-			}
-			if old, exists := m.nonPatch[key]; exists {
-				// Condition NUC2: every occurrence of a duplicated value is
-				// a patch — including the previously clean one.
-				retro = append(retro, old)
-				delete(m.nonPatch, key)
-				m.patchVals[key] = struct{}{}
-				newIDs = append(newIDs, row)
-				continue
-			}
-			m.nonPatch[key] = rowRef{part: part, row: row}
+	if m.nuc != nil {
+		return m.nuc.classify(part, vals, baseRow)
+	}
+	for i := 0; i < vals.Len(); i++ {
+		row := baseRow + uint64(i)
+		if vals.IsNull(i) {
+			newIDs = append(newIDs, row)
+			continue
 		}
-	case patch.NearlySorted:
-		for i := 0; i < n; i++ {
-			row := baseRow + uint64(i)
-			if vals.IsNull(i) {
+		v := vals.Value(i)
+		if m.hasLast[part] {
+			c := v.Compare(m.lastVal[part])
+			if m.ix.Descending() {
+				c = -c
+			}
+			if c < 0 {
 				newIDs = append(newIDs, row)
 				continue
 			}
-			v := vals.Value(i)
-			if m.hasLast[part] {
-				c := v.Compare(m.lastVal[part])
-				if m.ix.Descending() {
-					c = -c
-				}
-				if c < 0 {
-					newIDs = append(newIDs, row)
-					continue
-				}
+		}
+		m.lastVal[part] = v
+		m.hasLast[part] = true
+	}
+	return newIDs, nil
+}
+
+// nucState is the NUC maintenance state for one key type.
+type nucState interface {
+	classify(part int, vals *vector.Vector, baseRow uint64) (newIDs []uint64, retro []rowRef)
+}
+
+// nucMaps keys the current non-patch values (to their row) and the patch
+// values by K.
+type nucMaps[K comparable] struct {
+	key       discovery.KeyFunc[K]
+	nonPatch  map[K]rowRef
+	patchVals map[K]struct{}
+}
+
+// ownedStringKey keys a String column by a copy of the value, so the
+// long-lived maps do not pin the column's (or a WAL record's) memory.
+func ownedStringKey(v *vector.Vector, i int) string { return strings.Clone(v.Str[i]) }
+
+func newNUCMaps[K comparable](table *storage.Table, ix *patch.Index, col int, key discovery.KeyFunc[K]) *nucMaps[K] {
+	patches := ix.Cardinality()
+	n := &nucMaps[K]{
+		key:       key,
+		nonPatch:  make(map[K]rowRef, ix.NumRows()-patches),
+		patchVals: make(map[K]struct{}, patches),
+	}
+	for p := 0; p < table.NumPartitions(); p++ {
+		v := table.Partition(p).Column(col)
+		set := ix.Partition(p)
+		for i := 0; i < v.Len(); i++ {
+			if v.IsNull(i) {
+				continue // NULLs carry no value identity
 			}
-			m.lastVal[part] = v
-			m.hasLast[part] = true
+			if set.Contains(uint64(i)) {
+				n.patchVals[key(v, i)] = struct{}{}
+			} else {
+				n.nonPatch[key(v, i)] = makeRowRef(p, uint64(i))
+			}
 		}
 	}
+	return n
+}
+
+func (n *nucMaps[K]) classify(part int, vals *vector.Vector, baseRow uint64) (newIDs []uint64, retro []rowRef) {
+	for i := 0; i < vals.Len(); i++ {
+		row := baseRow + uint64(i)
+		if vals.IsNull(i) {
+			newIDs = append(newIDs, row)
+			continue
+		}
+		k := n.key(vals, i)
+		if _, isPatchVal := n.patchVals[k]; isPatchVal {
+			newIDs = append(newIDs, row)
+			continue
+		}
+		if old, exists := n.nonPatch[k]; exists {
+			// Condition NUC2: every occurrence of a duplicated value is
+			// a patch — including the previously clean one.
+			retro = append(retro, old)
+			delete(n.nonPatch, k)
+			n.patchVals[k] = struct{}{}
+			newIDs = append(newIDs, row)
+			continue
+		}
+		n.nonPatch[k] = makeRowRef(part, row)
+	}
 	return newIDs, retro
+}
+
+// lastNonPatch finds the highest row of a partition that is not a patch.
+func lastNonPatch(set patch.Set) (int, bool) {
+	for r := set.NumRows() - 1; r >= 0; r-- {
+		if !set.Contains(uint64(r)) {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
+// valueAt reads one value of a partition. A column that is only on disk in
+// a clean partition is decoded for that one row, bypassing the cache.
+func valueAt(t *storage.Table, part, col, row int) (vector.Value, error) {
+	if t.ColumnOnDisk(part, col) {
+		if seg := t.OpenSegment(part); seg != nil {
+			enc, err := seg.ReadColumn(col)
+			if err != nil {
+				return vector.Value{}, err
+			}
+			out := vector.New(enc.Typ, 1)
+			if err := enc.DecodeRangeInto(out, row, row+1); err != nil {
+				return vector.Value{}, err
+			}
+			return out.Value(0), nil
+		}
+	}
+	return t.Partition(part).Column(col).Value(row), nil
 }
 
 // Set is a group of maintainers covering every PatchIndex of one table, so a
@@ -214,7 +284,7 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 		// Retroactive patches may hit other partitions; group them.
 		perPart := map[int][]uint64{part: newIDs}
 		for _, r := range retro {
-			perPart[r.part] = append(perPart[r.part], r.row)
+			perPart[r.part()] = append(perPart[r.part()], r.row())
 		}
 		for p, ids := range perPart {
 			rows := s.table.Partition(p).NumRows()
@@ -232,22 +302,3 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 // positionOf maps a table column position onto the appended column list
 // (appends provide one vector per schema column, in schema order).
 func positionOf(_ *storage.Table, col int, _ []*vector.Vector) int { return col }
-
-// encodeElem mirrors the discovery package's injective value encoding.
-func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
-	switch v.Typ {
-	case vector.Int64, vector.Date:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
-	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[i]))
-	case vector.String:
-		buf = append(buf, v.Str[i]...)
-	case vector.Bool:
-		if v.B[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}

@@ -1,6 +1,9 @@
 package maintain
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -358,4 +361,128 @@ func TestNewMaintainerValidation(t *testing.T) {
 	if _, err := NewMaintainer(tab, other); err != nil {
 		t.Errorf("valid maintainer rejected: %v", err)
 	}
+}
+
+// encodedKey is the byte-string key NUC state used before fixed-width
+// columns got uint64 keys: the value's 8-byte little-endian image (one byte
+// for Bool) as a string.
+func encodedKey(v *vector.Vector, i int) string {
+	switch v.Typ {
+	case vector.Float64:
+		return string(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v.F64[i])))
+	case vector.Bool:
+		if v.B[i] {
+			return "\x01"
+		}
+		return "\x00"
+	case vector.String:
+		return v.Str[i]
+	default:
+		return string(binary.LittleEndian.AppendUint64(nil, uint64(v.I64[i])))
+	}
+}
+
+// specialFloats are values whose bit patterns differ although they compare
+// equal (±0) or never compare equal (NaNs with different payloads).
+var specialFloats = []float64{
+	0, math.Copysign(0, -1),
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002),
+	1.5, -1.5,
+}
+
+func randomColumn(rng *rand.Rand, typ vector.Type, n int) *vector.Vector {
+	v := vector.New(typ, n)
+	for i := 0; i < n; i++ {
+		switch {
+		case rng.Intn(40) == 0:
+			v.AppendNull()
+		case typ == vector.Bool:
+			v.AppendBool(rng.Intn(2) == 0)
+		case typ == vector.Float64 && rng.Intn(4) == 0:
+			v.AppendFloat64(specialFloats[rng.Intn(len(specialFloats))])
+		case typ == vector.Float64:
+			v.AppendFloat64(float64(rng.Intn(4*n)) / 4)
+		default:
+			v.AppendInt64(int64(rng.Intn(4 * n)))
+		}
+	}
+	return v
+}
+
+// TestTypedAndStringKeysAgree maintains the same NUC twice, once with the
+// typed uint64 keys and once with byte-string keys, over the same appends:
+// both must produce identical patch sets, equal to a fresh discovery.
+func TestTypedAndStringKeysAgree(t *testing.T) {
+	for _, typ := range []vector.Type{vector.Int64, vector.Float64, vector.Date, vector.Bool} {
+		t.Run(typ.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(typ) + 1))
+			var tabs [2]*storage.Table
+			var sets [2]*Set
+			for k := range tabs {
+				tab, err := storage.NewTable("t", storage.NewSchema(storage.Column{Name: "c", Typ: typ}), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tabs[k] = tab
+			}
+			for p := 0; p < 3; p++ {
+				col := randomColumn(rng, typ, 300)
+				for _, tab := range tabs {
+					if err := tab.AppendColumns(p, []*vector.Vector{col}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k, tab := range tabs {
+				m, err := NewMaintainer(tab, buildIdx(t, tab, patch.NearlyUnique))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 1 {
+					m.nuc = newNUCMaps(tab, m.ix, 0, encodedKey)
+				}
+				sets[k] = &Set{table: tab, maintainers: []*Maintainer{m}}
+			}
+			for b := 0; b < 20; b++ {
+				col := randomColumn(rng, typ, 50)
+				part := rng.Intn(3)
+				for _, s := range sets {
+					if err := s.Append(part, []*vector.Vector{col}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			typed, str := sets[0].maintainers[0].ix, sets[1].maintainers[0].ix
+			fresh := buildIdx(t, tabs[0], patch.NearlyUnique)
+			for p := 0; p < 3; p++ {
+				a, b, c := ids(typed.Partition(p)), ids(str.Partition(p)), ids(fresh.Partition(p))
+				if fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("partition %d: typed keys %v, string keys %v", p, a, b)
+				}
+				if fmt.Sprint(a) != fmt.Sprint(c) {
+					t.Fatalf("partition %d: maintained %v, rediscovered %v", p, a, c)
+				}
+			}
+			all := vector.New(typ, tabs[0].NumRows())
+			var patches []uint64
+			for p := 0; p < 3; p++ {
+				for _, id := range ids(typed.Partition(p)) {
+					patches = append(patches, uint64(all.Len())+id)
+				}
+				v := tabs[0].Partition(p).Column(0)
+				all.AppendRange(v, 0, v.Len())
+			}
+			if err := discovery.VerifyNUC(all, patches); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func ids(s patch.Set) []uint64 {
+	var out []uint64
+	for it := s.Iter(0); it.Valid(); it.Next() {
+		out = append(out, it.Row())
+	}
+	return out
 }

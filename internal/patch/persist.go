@@ -1,21 +1,23 @@
 package patch
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math"
+	"math/bits"
 	"os"
+	"path/filepath"
 )
 
 // This file implements the first alternative to the purely in-memory design
 // discussed in Section V of the paper: "the index data could be materialized
 // to disk, which has the advantages of durability, easy recovery and
 // reducing the main memory consumption". Materialized indexes restore in
-// O(|P_c|) instead of re-running discovery over the data; the engine falls
-// back to discovery when no (valid) materialization exists.
+// O(|P_c|) instead of re-running discovery over the data; the engine's
+// checkpoint writes one file per index into each generation and falls back
+// to discovery when no (valid) file exists.
 //
 // File format (little endian), CRC32-IEEE over everything before the
 // trailing checksum:
@@ -38,272 +40,275 @@ import (
 
 const persistMagic uint32 = 0x50495831 // "PIX1"
 
+// maxFileRows bounds a partition's row count when the caller cannot say how
+// many rows to expect: large enough for any real partition, small enough
+// that no size derived from it overflows an int.
+const maxFileRows = 1 << 40
+
 // ErrBadIndexFile reports a corrupt or mismatching materialized index file.
 var ErrBadIndexFile = errors.New("patch: bad index file")
 
-// crcWriter tees writes through a CRC32.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-// Save materializes the index to the given file path (atomically via a
-// temporary file). The index must be fully built.
+// Save materializes the index to the given file path: a temporary file is
+// written and fsynced, renamed over path, and the directory is fsynced, so
+// path holds either the old or the new file after a crash. The index must be
+// fully built.
 func (ix *Index) Save(path string) error {
 	if !ix.Ready() {
 		return fmt.Errorf("patch: cannot save unbuilt index %s.%s", ix.table, ix.column)
 	}
+	data := ix.encode()
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("patch: save: %w", err)
 	}
 	defer os.Remove(tmp)
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &crcWriter{w: bw}
-
-	writeU32 := func(x uint32) error { return binary.Write(cw, binary.LittleEndian, x) }
-	writeU64 := func(x uint64) error { return binary.Write(cw, binary.LittleEndian, x) }
-	writeStr := func(s string) error {
-		if err := writeU32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := cw.Write([]byte(s))
-		return err
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("patch: save: %w", err)
 	}
-	writeByte := func(b byte) error { _, err := cw.Write([]byte{b}); return err }
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("patch: save: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("patch: save: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("patch: save: %w", err)
+	}
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		dir.Sync()
+		dir.Close()
+	}
+	return nil
+}
+
+// encode serializes the index in the PIX1 format.
+func (ix *Index) encode() []byte {
+	le := binary.LittleEndian
+	appendStr := func(buf []byte, s string) []byte {
+		return append(le.AppendUint32(buf, uint32(len(s))), s...)
+	}
 	boolByte := func(b bool) byte {
 		if b {
 			return 1
 		}
 		return 0
 	}
-
-	if err := writeU32(persistMagic); err != nil {
-		return err
-	}
-	if err := writeStr(ix.table); err != nil {
-		return err
-	}
-	if err := writeStr(ix.column); err != nil {
-		return err
-	}
-	if err := writeByte(byte(ix.constraint)); err != nil {
-		return err
-	}
-	if err := writeByte(byte(ix.kind)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, ix.threshold); err != nil {
-		return err
-	}
-	if err := writeByte(boolByte(ix.descending)); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(ix.sets))); err != nil {
-		return err
-	}
 	ix.mu.RLock()
 	sets := append([]Set{}, ix.sets...)
 	ix.mu.RUnlock()
+	size := 64 + len(ix.table) + len(ix.column)
 	for _, s := range sets {
-		if err := writeU64(uint64(s.NumRows())); err != nil {
-			return err
-		}
+		size += 32 + s.MemoryBytes()
+	}
+	buf := make([]byte, 0, size)
+	buf = le.AppendUint32(buf, persistMagic)
+	buf = appendStr(buf, ix.table)
+	buf = appendStr(buf, ix.column)
+	buf = append(buf, byte(ix.constraint), byte(ix.kind))
+	buf = le.AppendUint64(buf, math.Float64bits(ix.threshold))
+	buf = append(buf, boolByte(ix.descending))
+	buf = le.AppendUint32(buf, uint32(len(sets)))
+	for _, s := range sets {
+		buf = le.AppendUint64(buf, uint64(s.NumRows()))
 		switch set := s.(type) {
 		case *IdentifierSet:
-			if err := writeByte(0); err != nil {
-				return err
-			}
-			if err := writeU64(uint64(len(set.ids))); err != nil {
-				return err
-			}
+			buf = append(buf, 0)
+			buf = le.AppendUint64(buf, uint64(len(set.ids)))
 			for _, id := range set.ids {
-				if err := writeU64(id); err != nil {
-					return err
-				}
+				buf = le.AppendUint64(buf, id)
 			}
 		case *BitmapSet:
-			if err := writeByte(1); err != nil {
-				return err
-			}
-			if err := writeU64(uint64(len(set.words))); err != nil {
-				return err
-			}
+			buf = append(buf, 1)
+			buf = le.AppendUint64(buf, uint64(len(set.words)))
 			for _, w := range set.words {
-				if err := writeU64(w); err != nil {
-					return err
-				}
+				buf = le.AppendUint64(buf, w)
 			}
-			if err := writeU64(uint64(set.card)); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("patch: save: unknown set type %T", s)
+			buf = le.AppendUint64(buf, uint64(set.card))
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// crcReader tees reads through a CRC32.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// Load reads a materialized index from path.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
+// Load reads a materialized index from path. rows, when non-nil, is the
+// expected row count of every partition: a file whose partition count or
+// per-partition row counts differ is rejected with ErrBadIndexFile, so a
+// stale file never attaches to a table it does not describe.
+func Load(path string, rows []int) (*Index, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	cr := &crcReader{r: bufio.NewReaderSize(f, 1<<20)}
+	return decode(data, rows)
+}
 
-	readU32 := func() (uint32, error) {
-		var x uint32
-		err := binary.Read(cr, binary.LittleEndian, &x)
-		return x, err
-	}
-	readU64 := func() (uint64, error) {
-		var x uint64
-		err := binary.Read(cr, binary.LittleEndian, &x)
-		return x, err
-	}
-	readStr := func() (string, error) {
-		n, err := readU32()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("%w: oversized string", ErrBadIndexFile)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	readByte := func() (byte, error) {
-		var b [1]byte
-		_, err := io.ReadFull(cr, b[:])
-		return b[0], err
-	}
+// decoder walks a PIX1 image. Every length read from the file is checked
+// against the bytes that remain before anything is allocated for it.
+type decoder struct {
+	buf []byte
+	err error
+}
 
-	magic, err := readU32()
-	if err != nil || magic != persistMagic {
+func (d *decoder) take(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("%w: truncated", ErrBadIndexFile)
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) u8() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// words reads n u64 words after checking n against the remaining bytes.
+func (d *decoder) words(n uint64) []uint64 {
+	if d.err == nil && n > uint64(len(d.buf))/8 {
+		d.err = fmt.Errorf("%w: truncated", ErrBadIndexFile)
+	}
+	b := d.take(8 * n)
+	if d.err != nil {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return out
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrBadIndexFile}, args...)...)
+	}
+}
+
+// decode parses and validates a PIX1 image (see Load for rows).
+func decode(data []byte, rows []int) (*Index, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("%w: truncated", ErrBadIndexFile)
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadIndexFile)
+	}
+	d := &decoder{buf: body}
+	if d.u32() != persistMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadIndexFile)
 	}
-	table, err := readStr()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+	table := string(d.take(uint64(d.u32())))
+	column := string(d.take(uint64(d.u32())))
+	cb, kb := d.u8(), d.u8()
+	threshold := math.Float64frombits(d.u64())
+	db := d.u8()
+	nParts := uint64(d.u32())
+	// Each partition takes at least 17 bytes (numRows, kind, one count).
+	if d.err == nil && (nParts == 0 || nParts > uint64(len(d.buf))/17) {
+		d.fail("bad partition count %d", nParts)
 	}
-	column, err := readStr()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+	if d.err == nil && rows != nil && nParts != uint64(len(rows)) {
+		d.fail("%d partitions, want %d", nParts, len(rows))
 	}
-	cb, err := readByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	kb, err := readByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	var threshold float64
-	if err := binary.Read(cr, binary.LittleEndian, &threshold); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	db, err := readByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	nParts, err := readU32()
-	if err != nil || nParts == 0 || nParts > 1<<16 {
-		return nil, fmt.Errorf("%w: bad partition count", ErrBadIndexFile)
+	if d.err != nil {
+		return nil, d.err
 	}
 	ix, err := NewIndex(table, column, Constraint(cb), Kind(kb), threshold, int(nParts))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
 	ix.SetDescending(db == 1)
-	for p := 0; p < int(nParts); p++ {
-		numRows, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+	for p := 0; p < int(nParts) && d.err == nil; p++ {
+		numRows := d.u64()
+		switch {
+		case rows != nil && numRows != uint64(rows[p]):
+			d.fail("partition %d has %d rows, want %d", p, numRows, rows[p])
+		case numRows > maxFileRows:
+			d.fail("partition %d: row count %d out of range", p, numRows)
 		}
-		setKind, err := readByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+		setKind := d.u8()
+		if d.err != nil {
+			break
 		}
 		switch setKind {
 		case 0:
-			count, err := readU64()
-			if err != nil || count > numRows {
-				return nil, fmt.Errorf("%w: bad id count", ErrBadIndexFile)
+			count := d.u64()
+			if count > numRows {
+				d.fail("partition %d: %d ids for %d rows", p, count, numRows)
 			}
-			ids := make([]uint64, count)
-			for i := range ids {
-				if ids[i], err = readU64(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-				}
+			ids := d.words(count)
+			if d.err != nil {
+				break
 			}
 			set, err := NewIdentifierSet(ids, int(numRows))
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
+				d.fail("%v", err)
+				break
 			}
 			ix.sets[p] = set
 		case 1:
-			nWords, err := readU64()
-			if err != nil || nWords != uint64((numRows+63)/64) {
-				return nil, fmt.Errorf("%w: bad word count", ErrBadIndexFile)
+			nWords := d.u64()
+			if nWords != (numRows+63)/64 {
+				d.fail("partition %d: %d bitmap words for %d rows", p, nWords, numRows)
 			}
-			words := make([]uint64, nWords)
-			for i := range words {
-				if words[i], err = readU64(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-				}
+			words := d.words(nWords)
+			card := d.u64()
+			if d.err != nil {
+				break
 			}
-			card, err := readU64()
-			if err != nil || card > numRows {
-				return nil, fmt.Errorf("%w: bad cardinality", ErrBadIndexFile)
+			if err := checkBitmap(words, numRows, card); err != nil {
+				d.fail("partition %d: %v", p, err)
+				break
 			}
 			ix.sets[p] = &BitmapSet{words: words, numRows: int(numRows), card: int(card)}
 		default:
-			return nil, fmt.Errorf("%w: unknown set kind %d", ErrBadIndexFile, setKind)
+			d.fail("unknown set kind %d", setKind)
 		}
 	}
-	sum := cr.crc
-	var stored uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrBadIndexFile)
+	if d.err == nil && len(d.buf) != 0 {
+		d.fail("%d trailing bytes", len(d.buf))
 	}
-	if stored != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadIndexFile)
+	if d.err != nil {
+		return nil, d.err
 	}
 	return ix, nil
+}
+
+// checkBitmap verifies a loaded bitmap: no bit at or past numRows, and the
+// stored cardinality equals the population count.
+func checkBitmap(words []uint64, numRows, card uint64) error {
+	n := uint64(0)
+	for _, w := range words {
+		n += uint64(bits.OnesCount64(w))
+	}
+	if tail := numRows % 64; tail != 0 && len(words) > 0 && words[len(words)-1]>>tail != 0 {
+		return fmt.Errorf("bits set past row %d", numRows)
+	}
+	if n != card {
+		return fmt.Errorf("cardinality %d, bitmap holds %d", card, n)
+	}
+	return nil
 }

@@ -2,15 +2,32 @@
 // segments. With Config.DataDir set the engine runs in durable mode —
 // table data lives in per-partition segment files under <DataDir>/segs,
 // decoded payloads are budgeted by a clock cache, ingest is write-ahead
-// logged, and CHECKPOINT flushes dirty partitions + writes the catalog
-// manifest + rotates the WAL so restart replays only the suffix.
+// logged, and CHECKPOINT flushes dirty partitions + saves every PatchIndex's
+// patch set + writes the catalog manifest + rotates the WAL so restart
+// replays only the suffix.
+//
+// Patch sets are part of the checkpoint generation (Section V's "materialize"
+// alternative: durability, easy recovery). Each ready index is saved in the
+// CRC-checked PIX1 format as <DataDir>/segs/<table>.<col>.<nuc|nsc>.gN.pidx,
+// referenced by the manifest's index record. An index that gained no rows
+// since its file was written keeps pointing at that earlier generation's
+// file, as clean partitions keep their segments. Restart loads each file,
+// checks it against the manifest's per-partition row counts and the
+// record's table, column and constraint, and replays the WAL suffix through
+// the ordinary maintained append — O(|patches| + suffix) instead of
+// rediscovery over the table. Rediscovery remains the fallback for
+// manifests without index files, missing or corrupt files, shape
+// mismatches, and indexes created after the last checkpoint (their slim WAL
+// record is all there is).
 //
 // Crash protocol: the manifest rename is the checkpoint's commit point. The
-// manifest names both the segment generation and the WAL file carrying
-// records after it, so recovery always pairs a consistent snapshot with
-// exactly its suffix — a crash before the rename recovers from the previous
-// pair, a crash after it from the new one. Superseded segment generations
-// and WAL files are orphans swept by the next successful checkpoint.
+// manifest names the segment generation, the index files and the WAL file
+// carrying records after it, so recovery always pairs a consistent snapshot
+// with exactly its suffix — a crash before the rename recovers from the
+// previous pair, a crash after it from the new one. Segment and index files
+// are written and fsynced before the rename. Superseded generations, WAL
+// files and the temporary files of a checkpoint that crashed are orphans
+// swept by the next successful checkpoint.
 package patchindex
 
 import (
@@ -28,7 +45,10 @@ import (
 	"patchindex/internal/wal"
 )
 
-const manifestName = "MANIFEST.json"
+const (
+	manifestName = "MANIFEST.json"
+	segDirName   = "segs" // segment and patch-set files, under DataDir
+)
 
 // walLogRows bounds the rows per WAL data record so one record stays well
 // under the replayer's 16 MiB corruption guard even for wide string columns.
@@ -38,12 +58,14 @@ const walLogRows = 8192
 // state — the crash-restart suite asserts a checkpointed reopen replays only
 // the WAL suffix.
 type RecoveryStats struct {
-	ManifestTables  int           // tables restored lazily from segment files
-	ManifestIndexes int           // index definitions restored from the manifest
-	ReplayedRecords int           // total WAL records replayed
-	ReplayedAppends int           // data (ingest) records among them
-	ReplayedRows    int64         // rows re-applied from the WAL suffix
-	Duration        time.Duration // wall time of manifest load + replay
+	ManifestTables      int           // tables restored lazily from segment files
+	ManifestIndexes     int           // index definitions restored from the manifest
+	IndexesLoaded       int           // indexes restored from checkpointed patch-set files
+	IndexesRediscovered int           // indexes rebuilt by discovery (manifest fallback or WAL suffix)
+	ReplayedRecords     int           // total WAL records replayed
+	ReplayedAppends     int           // data (ingest) records among them
+	ReplayedRows        int64         // rows re-applied from the WAL suffix
+	Duration            time.Duration // wall time of manifest load + replay
 }
 
 // CheckpointStats summarizes one checkpoint.
@@ -64,7 +86,7 @@ func (e *Engine) Cache() *storage.Cache { return e.cache }
 // durable reports whether the engine manages disk-backed segments.
 func (e *Engine) durable() bool { return e.cfg.DataDir != "" }
 
-func (e *Engine) segDir() string       { return filepath.Join(e.cfg.DataDir, "segs") }
+func (e *Engine) segDir() string       { return filepath.Join(e.cfg.DataDir, segDirName) }
 func (e *Engine) manifestPath() string { return filepath.Join(e.cfg.DataDir, manifestName) }
 
 // spillDir resolves the operator spill directory: Config.SpillDir, else a
@@ -85,20 +107,19 @@ func segFileName(table string, part int, gen uint64) string {
 	return fmt.Sprintf("%s.p%d.g%d.seg", table, part, gen)
 }
 
+func indexFileName(ix *patch.Index, gen uint64) string {
+	return fmt.Sprintf("%s.%s.%s.g%d.pidx", ix.Table(), ix.Column(), constraintTag(ix.Constraint()), gen)
+}
+
 // openDataDir restores the engine from DataDir: manifest tables load lazily
-// (payloads stay on disk behind the cache), manifest indexes restore from
-// their materialized files or rediscovery, then the WAL suffix replays
-// through the ordinary maintained-append path. Called from New before the
-// engine is shared, so no latching subtleties apply.
+// (payloads stay on disk behind the cache), manifest indexes load from their
+// checkpointed patch-set files (rediscovery only as the fallback), then the
+// WAL suffix replays through the ordinary maintained-append path. Called
+// from New before the engine is shared, so no latching subtleties apply.
 func (e *Engine) openDataDir() error {
 	start := time.Now()
 	if err := os.MkdirAll(e.segDir(), 0o755); err != nil {
 		return fmt.Errorf("patchindex: data dir: %w", err)
-	}
-	if e.cfg.IndexDir != "" {
-		if err := os.MkdirAll(e.cfg.IndexDir, 0o755); err != nil {
-			return fmt.Errorf("patchindex: index dir: %w", err)
-		}
 	}
 	if e.cfg.SpillBytes > 0 {
 		if err := os.MkdirAll(e.spillDir(), 0o755); err != nil {
@@ -126,17 +147,22 @@ func (e *Engine) openDataDir() error {
 
 	e.replaying = true
 	defer func() { e.replaying = false }()
+	e.indexFiles = map[*patch.Index]indexFile{}
 
 	if m != nil {
+		rows := make(map[string][]int, len(m.Tables))
 		for _, mt := range m.Tables {
 			cols := make([]storage.Column, len(mt.Columns))
 			for i, c := range mt.Columns {
 				cols[i] = storage.Column{Name: c.Name, Typ: vector.Type(c.Typ)}
 			}
 			paths := make([]string, len(mt.Partitions))
+			partRows := make([]int, len(mt.Partitions))
 			for i, p := range mt.Partitions {
 				paths[i] = filepath.Join(e.cfg.DataDir, p.File)
+				partRows[i] = p.Rows
 			}
+			rows[mt.Name] = partRows
 			t, err := storage.LoadTable(mt.Name, storage.NewSchema(cols...), mt.SortKey, paths, e.cache)
 			if err != nil {
 				return err
@@ -156,10 +182,21 @@ func (e *Engine) openDataDir() error {
 				Threshold:  mi.Threshold,
 				Descending: mi.Descending,
 			}
+			e.recovery.ManifestIndexes++
+			if partRows, ok := rows[mi.Table]; ok && mi.File != "" {
+				if ix := loadIndexFile(filepath.Join(e.cfg.DataDir, mi.File), &rec, partRows); ix != nil {
+					if err := e.cat.AddIndex(ix); err != nil {
+						return err
+					}
+					e.indexFiles[ix] = indexFile{name: mi.File, rows: ix.NumRows()}
+					e.recovery.IndexesLoaded++
+					continue
+				}
+			}
 			if _, err := e.createIndexNoLog(&rec); err != nil {
 				return fmt.Errorf("patchindex: restoring index on %s.%s: %w", mi.Table, mi.Column, err)
 			}
-			e.recovery.ManifestIndexes++
+			e.recovery.IndexesRediscovered++
 		}
 	}
 
@@ -180,6 +217,7 @@ func (e *Engine) replayWAL() error {
 			if e.cat.Lookup(r.Table, r.Column, patch.Constraint(r.Constraint)) != nil {
 				return nil
 			}
+			e.recovery.IndexesRediscovered++
 			_, err := e.createIndexNoLog(r)
 			return err
 		case wal.RecordDropIndex:
@@ -318,6 +356,7 @@ func (e *Engine) sortedHints(t *storage.Table) []bool {
 }
 
 // Checkpoint flushes every dirty partition to a new segment generation,
+// saves the patch set of every index that changed since its last file,
 // writes the catalog manifest (the atomic commit point), rotates the WAL,
 // and sweeps orphaned files. It takes exclusive latches on all tables, so
 // it serializes against every statement — callers should run it from a
@@ -368,7 +407,15 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 		}
 		m.Tables = append(m.Tables, mt)
 	}
+	files := map[*patch.Index]indexFile{}
 	for _, ix := range e.cat.Indexes() {
+		file, err := e.saveIndex(ix, gen)
+		if err != nil {
+			return stats, err
+		}
+		if file.name != "" {
+			files[ix] = file
+		}
 		m.Indexes = append(m.Indexes, catalog.ManifestIndex{
 			Table:      ix.Table(),
 			Column:     ix.Column(),
@@ -376,6 +423,7 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 			Kind:       uint8(ix.RequestedKind()),
 			Threshold:  ix.Threshold(),
 			Descending: ix.Descending(),
+			File:       file.name,
 		})
 	}
 
@@ -394,7 +442,7 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 	}
 	// Commit point passed: swap logs and sweep orphans.
 	oldLog, oldPath := e.log, e.walPath
-	e.log, e.walPath, e.gen = newLog, newWALPath, gen
+	e.log, e.walPath, e.gen, e.indexFiles = newLog, newWALPath, gen, files
 	if oldLog != nil {
 		oldLog.Close()
 	}
@@ -409,6 +457,33 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 	return stats, nil
 }
 
+// indexFile is a checkpointed patch-set file: its DataDir-relative name and
+// the index's row count when it was written.
+type indexFile struct {
+	name string
+	rows int
+}
+
+// saveIndex returns the file holding ix's patch set for generation gen. An
+// index that covers as many rows as when its file was written keeps that
+// file, as a clean partition keeps its segment: only a maintained append
+// changes a patch set, and it always adds rows. Otherwise the set is saved
+// anew. Unbuilt indexes get no file and are rediscovered on restart.
+func (e *Engine) saveIndex(ix *patch.Index, gen uint64) (indexFile, error) {
+	rows := ix.NumRows()
+	if f, ok := e.indexFiles[ix]; ok && f.rows == rows {
+		return f, nil
+	}
+	if !ix.Ready() {
+		return indexFile{}, nil
+	}
+	name := indexFileName(ix, gen)
+	if err := ix.Save(filepath.Join(e.segDir(), name)); err != nil {
+		return indexFile{}, err
+	}
+	return indexFile{name: filepath.Join(segDirName, name), rows: rows}, nil
+}
+
 // totalSegmentBytes sums compressed on-disk payloads across tables.
 func (e *Engine) totalSegmentBytes() int64 {
 	var total int64
@@ -420,8 +495,10 @@ func (e *Engine) totalSegmentBytes() int64 {
 	return total
 }
 
-// sweepOrphans removes segment files and WAL generations the manifest no
-// longer references. Failures are ignored — orphans are garbage, not state.
+// sweepOrphans removes segment and index files and WAL generations the
+// manifest no longer references, and the temporary files a crashed
+// checkpoint left behind (no write is in flight: the caller holds
+// checkpointMu). Failures are ignored — orphans are garbage, not state.
 func (e *Engine) sweepOrphans(m *catalog.Manifest) {
 	live := map[string]bool{}
 	for _, t := range m.Tables {
@@ -429,10 +506,14 @@ func (e *Engine) sweepOrphans(m *catalog.Manifest) {
 			live[filepath.Base(p.File)] = true
 		}
 	}
+	for _, ix := range m.Indexes {
+		live[filepath.Base(ix.File)] = true
+	}
 	if entries, err := os.ReadDir(e.segDir()); err == nil {
 		for _, ent := range entries {
 			name := ent.Name()
-			if strings.HasSuffix(name, ".seg") && !live[name] {
+			generation := strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".pidx")
+			if (generation && !live[name]) || strings.HasSuffix(name, ".tmp") {
 				os.Remove(filepath.Join(e.segDir(), name))
 			}
 		}
