@@ -61,13 +61,13 @@ func BenchmarkAblationScanRanges(b *testing.B) {
 // BenchmarkAblationParallel measures the parallel partition exchange against
 // sequential execution for a patched count-distinct.
 func BenchmarkAblationParallel(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
+	for _, parallelism := range []int{1, 4} {
 		name := "sequential"
-		if parallel {
+		if parallelism > 1 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, err := New(Config{DefaultPartitions: benchPartitions, Parallel: parallel})
+			e, err := New(Config{DefaultPartitions: benchPartitions, Parallelism: parallelism})
 			if err != nil {
 				b.Fatal(err)
 			}

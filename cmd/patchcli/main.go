@@ -5,7 +5,6 @@
 //	patchcli                       # empty engine
 //	patchcli -demo tpcds           # customer, catalog_sales, date_dim
 //	patchcli -demo custom -rows N  # the custom exception-rate table
-//	patchcli -wal engine.wal       # enable WAL logging / recovery
 //	patchcli -e "SELECT ..."       # execute one statement and exit
 //	patchcli -e "SELECT ..." stats # ... then dump engine metrics
 //	patchcli -connect host:5433    # remote shell against a patchserver
@@ -50,10 +49,7 @@ func main() {
 	partitions := flag.Int("partitions", 8, "partitions for preloaded tables")
 	uniqueRate := flag.Float64("unique-rate", 0.05, "uniqueness exception rate for -demo custom")
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
-	walPath := flag.String("wal", "", "write-ahead log path (enables durability of index definitions)")
-	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery)")
 	execStmt := flag.String("e", "", "execute one statement and exit")
-	parallel := flag.Bool("parallel", false, "parallel partition scans (legacy; implies -parallelism 2*GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "degree of intra-query parallelism (0 = serial, >1 = bounded worker pool)")
 	slowMS := flag.Int("slow-ms", 0, "log statements slower than this many milliseconds")
 	workload := flag.Bool("workload", false, "enable the workload observatory (statement fingerprinting, benefit attribution)")
@@ -73,10 +69,7 @@ func main() {
 
 	eng, err := patchindex.New(patchindex.Config{
 		DefaultPartitions:    *partitions,
-		Parallel:             *parallel,
 		Parallelism:          *parallelism,
-		WALPath:              *walPath,
-		IndexDir:             *indexDir,
 		SlowQueryThreshold:   time.Duration(*slowMS) * time.Millisecond,
 		WorkloadProfile:      *workload,
 		WorkloadFingerprints: *workloadFPs,
@@ -131,12 +124,6 @@ func main() {
 		}
 	default:
 		fatal(fmt.Errorf("unknown demo %q (tpcds, custom)", *demo))
-	}
-
-	if *walPath != "" && *demo != "" {
-		if err := eng.Recover(); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
-		}
 	}
 
 	if *execStmt != "" {

@@ -21,22 +21,22 @@
 // "busy" error instead of piling up. SIGINT/SIGTERM trigger a graceful
 // shutdown that drains in-flight queries for up to -grace seconds.
 //
-// The serving fast path caches bound plans per statement text
-// (-plan-cache, on by default, invalidated on every DDL/tuner epoch bump)
-// and, opt-in, read-only query results keyed on per-table versions
-// (-result-cache, -result-cache-mb). Per-tenant QoS (token-bucket rate
-// limits, in-flight caps, priority-aware shedding) activates when any
+// The serving fast path caches, opt-in, read-only query results keyed on
+// per-table versions (-result-cache, -result-cache-mb). Per-tenant QoS
+// (token-bucket rate limits, in-flight caps, priority-aware shedding)
+// activates when any
 // -qos-* flag or a -tenants JSON file is given; sessions pick their tenant
 // with `\set tenant` or the wire protocol's tenant field, and per-tenant
 // shed/admitted/in-flight counters surface under /metrics and /stats:
 //
 //	patchserver -listen :5433 -result-cache -qos-rate 100 -tenants tenants.json
 //
-// Full durability: -data-dir stores compressed column segments, a catalog
-// manifest, and the WAL in one directory; -cache-mb bounds the decoded
-// column cache, -spill-mb bounds operator memory before Sort/HashJoin spill
-// to disk, and -checkpoint-interval runs background checkpoints (manual
-// CHECKPOINT always works):
+// Durability: -data-dir stores compressed column segments, a catalog
+// manifest, the checkpointed patch sets and the WAL in one directory, and a
+// restart on the same directory recovers all of it; -cache-mb bounds the
+// decoded column cache, -spill-mb bounds operator memory before
+// Sort/HashJoin spill to disk, and -checkpoint-interval runs background
+// checkpoints (manual CHECKPOINT always works):
 //
 //	patchserver -listen :5433 -data-dir /var/lib/patchindex -cache-mb 512 -spill-mb 256 -checkpoint-interval 60
 package main
@@ -66,13 +66,10 @@ func main() {
 	partitions := flag.Int("partitions", 8, "partitions for preloaded tables")
 	uniqueRate := flag.Float64("unique-rate", 0.05, "uniqueness exception rate for -demo custom")
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
-	walPath := flag.String("wal", "", "write-ahead log path (enables durability of index definitions)")
-	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery; ignored with -data-dir)")
-	dataDir := flag.String("data-dir", "", "data directory for full durability: compressed column segments, manifest, WAL (supersedes -wal/-indexdir; checkpoints save patch sets)")
+	dataDir := flag.String("data-dir", "", "data directory for durability: compressed column segments, manifest, WAL (checkpoints save patch sets)")
 	cacheMB := flag.Int("cache-mb", 0, "column cache byte budget in MB for -data-dir mode (0 = unlimited)")
 	spillMB := flag.Int("spill-mb", 0, "per-operator memory budget in MB before Sort/HashJoin spill to disk (0 = never spill)")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "seconds between background checkpoints in -data-dir mode (0 = manual CHECKPOINT only)")
-	parallel := flag.Bool("parallel", false, "parallel partition scans (legacy; implies -parallelism 2*GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "degree of intra-query parallelism (0 = serial, >1 = bounded worker pool)")
 	slowMS := flag.Int("slow-ms", 0, "log statements slower than this many milliseconds")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max queries executing at once (0 = GOMAXPROCS)")
@@ -90,8 +87,6 @@ func main() {
 	sampleIntervalMS := flag.Int("sample-interval-ms", 0, "watchdog sampling interval in ms (0 = default 1000)")
 	alertRules := flag.String("alert-rules", "", "JSON file of alert rules overriding the built-in watchdog rules")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	planCache := flag.Bool("plan-cache", true, "cache bound plans per statement text (invalidated on every DDL/tuner epoch bump)")
-	planCacheSize := flag.Int("plan-cache-size", 0, "bound-plan cache capacity in entries (0 = default 512)")
 	resultCache := flag.Bool("result-cache", false, "cache read-only deterministic-order results keyed on table versions")
 	resultCacheMB := flag.Int("result-cache-mb", 0, "result cache byte budget in MB (0 = default 32)")
 	qosRate := flag.Float64("qos-rate", 0, "default per-tenant statement rate limit per second (0 = unlimited)")
@@ -111,10 +106,7 @@ func main() {
 
 	eng, err := patchindex.New(patchindex.Config{
 		DefaultPartitions:    *partitions,
-		Parallel:             *parallel,
 		Parallelism:          *parallelism,
-		WALPath:              *walPath,
-		IndexDir:             *indexDir,
 		DataDir:              *dataDir,
 		CacheBytes:           int64(*cacheMB) << 20,
 		SpillBytes:           int64(*spillMB) << 20,
@@ -128,8 +120,6 @@ func main() {
 		Monitor:              *monitor,
 		SampleInterval:       time.Duration(*sampleIntervalMS) * time.Millisecond,
 		AlertRules:           rules,
-		PlanCache:            *planCache,
-		PlanCacheSize:        *planCacheSize,
 		ResultCache:          *resultCache,
 		ResultCacheBytes:     int64(*resultCacheMB) << 20,
 	})
@@ -160,11 +150,6 @@ func main() {
 
 	if err := loadDemo(eng, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
 		fatal(err)
-	}
-	if *walPath != "" && *demo != "" {
-		if err := eng.Recover(); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
-		}
 	}
 	if *dataDir != "" {
 		if rec := eng.Recovery(); rec.ManifestTables > 0 || rec.ReplayedRecords > 0 {

@@ -240,6 +240,113 @@ func TestDurableIndexCreatedAfterCheckpoint(t *testing.T) {
 	verifyIndexes(t, e2)
 }
 
+// TestDurableDropIndexStaysDropped: a DROP PATCHINDEX survives a restart
+// whether it is only in the WAL suffix or already checkpointed. After the
+// checkpoint the manifest no longer names the index and its patch-set file
+// is swept.
+func TestDurableDropIndexStaysDropped(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		name := "wal-suffix"
+		if checkpoint {
+			name = "checkpoint"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, _ := indexedDataDir(t, dir)
+			dropped := manifestIndexFiles(t, dir)["s"]
+			if dropped == "" {
+				t.Fatal("manifest has no index file for s")
+			}
+			mustExec(t, e, "DROP PATCHINDEX ON ev(s)")
+			want := ixAnswers(t, e)
+			if checkpoint {
+				mustExec(t, e, "CHECKPOINT")
+				if f, ok := manifestIndexFiles(t, dir)["s"]; ok {
+					t.Errorf("manifest still holds the dropped index (%s)", f)
+				}
+				if _, err := os.Stat(filepath.Join(dir, dropped)); !os.IsNotExist(err) {
+					t.Errorf("dropped index file %s not swept", dropped)
+				}
+			}
+			e.Close()
+
+			e2 := newDurableEngine(t, dir, 0)
+			defer e2.Close()
+			if checkpoint {
+				if rec := e2.Recovery(); rec.IndexesLoaded != 2 || rec.IndexesRediscovered != 0 {
+					t.Errorf("indexes loaded/rediscovered = %d/%d, want 2/0", rec.IndexesLoaded, rec.IndexesRediscovered)
+				}
+			} else {
+				// The manifest's s index loads and the replayed DROP discards it.
+				wantRecovery(t, e2, 3, 0)
+			}
+			if e2.Catalog().Index("ev", "s") != nil {
+				t.Error("dropped index on s is back after the restart")
+			}
+			sameAnswers(t, ixAnswers(t, e2), want)
+			verifyIndexes(t, e2)
+		})
+	}
+}
+
+// TestWALRecovery: with no checkpoint every index comes back from the WAL
+// alone. The replayed CREATEs rediscover the indexes with their original
+// cardinality, and the replayed DROP keeps the dropped one away.
+func TestWALRecovery(t *testing.T) {
+	dir := t.TempDir()
+	e := newDurableEngine(t, dir, 0)
+	loadIndexedTable(t, e, rand.New(rand.NewSource(11)))
+	mustExec(t, e, "DROP PATCHINDEX ON ev(s)")
+	want := ixAnswers(t, e)
+	card := e.Catalog().Index("ev", "u").Cardinality()
+	e.Close()
+
+	e2 := newDurableEngine(t, dir, 0)
+	defer e2.Close()
+	if rec := e2.Recovery(); rec.IndexesLoaded != 0 {
+		t.Errorf("IndexesLoaded = %d without a checkpoint, want 0", rec.IndexesLoaded)
+	}
+	ix := e2.Catalog().Index("ev", "u")
+	if ix == nil {
+		t.Fatal("index on u not recovered")
+	}
+	if ix.Cardinality() != card {
+		t.Errorf("recovered cardinality %d, want %d", ix.Cardinality(), card)
+	}
+	if e2.Catalog().Index("ev", "s") != nil {
+		t.Error("dropped index on s should not be recovered")
+	}
+	sameAnswers(t, ixAnswers(t, e2), want)
+	verifyIndexes(t, e2)
+}
+
+// TestDropRemovesMaterialization: dropping an index that a restart loaded
+// from its patch-set file deletes that file at the next checkpoint; the
+// files of the kept indexes stay.
+func TestDropRemovesMaterialization(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := indexedDataDir(t, dir)
+	e.Close()
+	files := manifestIndexFiles(t, dir)
+
+	e2 := newDurableEngine(t, dir, 0)
+	defer e2.Close()
+	mustExec(t, e2, "DROP PATCHINDEX ON ev(u)")
+	mustExec(t, e2, "CHECKPOINT")
+	if _, err := os.Stat(filepath.Join(dir, files["u"])); !os.IsNotExist(err) {
+		t.Errorf("drop must remove the materialized file %s", files["u"])
+	}
+	kept := manifestIndexFiles(t, dir)
+	if _, ok := kept["u"]; ok || len(kept) != 2 {
+		t.Errorf("manifest index files = %v, want only s and tag", kept)
+	}
+	for _, f := range kept {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("kept index file: %v", err)
+		}
+	}
+}
+
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {

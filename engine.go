@@ -19,8 +19,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,17 +45,12 @@ type Config struct {
 	// DefaultPartitions is the partition count for CREATE TABLE without a
 	// PARTITIONS clause (default 1).
 	DefaultPartitions int
-	// Parallel executes partition scans concurrently where order allows.
-	// Deprecated shorthand: it is equivalent to Parallelism =
-	// runtime.GOMAXPROCS(0) and is ignored when Parallelism is set.
-	Parallel bool
 	// Parallelism is the default intra-query degree of parallelism: the
 	// worker-pool bound for parallel scans, partial aggregation, and
-	// PatchIndex discovery/builds. 1 forces serial execution, values > 1 are
-	// capped at runtime.GOMAXPROCS(0), and 0 defers to the legacy Parallel
-	// flag (GOMAXPROCS if set, serial otherwise). Sessions can override it
-	// per connection via the `parallelism` setting, and ExecOptions per
-	// statement.
+	// PatchIndex discovery/builds. 0 or 1 means serial execution; larger
+	// values enable plan splitting, and the executor caps its worker pool
+	// at runtime.GOMAXPROCS(0). Sessions can override it per connection via
+	// the `parallelism` setting, and ExecOptions per statement.
 	Parallelism int
 	// DisablePatchRewrites turns the optimizer's PatchIndex rewrites off
 	// globally (per-query control is available via ExecOptions).
@@ -73,15 +66,6 @@ type Config struct {
 	// falling back to interpreted row-at-a-time expression evaluation
 	// (the pre-kernel execution path; useful for A/B comparison).
 	DisableKernels bool
-	// WALPath, when non-empty, enables write-ahead logging of PatchIndex
-	// definitions to the given file.
-	WALPath string
-	// IndexDir, when non-empty, materializes PatchIndex data to disk (one
-	// file per index) — the first design alternative of Section V. Recover
-	// restores materialized indexes in O(|P_c|) and falls back to
-	// re-discovery when a file is missing, corrupt or stale. Ignored in
-	// durable mode (DataDir), whose checkpoints write the patch sets.
-	IndexDir string
 	// Metrics is the registry receiving engine-wide counters and latency
 	// histograms. When nil a private registry is created, so Engine.Metrics
 	// always works; pass a shared registry to aggregate several engines
@@ -134,14 +118,6 @@ type Config struct {
 	// obs.DefaultRules: patch-ratio drift vs the 1/64 crossover, latency
 	// regression, admission pressure, queue depth).
 	AlertRules []obs.Rule
-	// PlanCache enables the serving bound-plan cache: optimized logical
-	// plans keyed on statement text + rewrite options, invalidated by the
-	// catalog epoch (every DDL and tuner create/drop/rebuild bumps it), so
-	// repeated dashboard-style statements skip parse-adjacent bind/rewrite
-	// work without ever serving a plan from a stale index set.
-	PlanCache bool
-	// PlanCacheSize bounds the plan cache entries (0 = default 512).
-	PlanCacheSize int
 	// ResultCache enables the serving result cache: materialized read-only
 	// results keyed on statement text + per-table version stamps, evicted
 	// LRU under ResultCacheBytes. Only deterministic-order SELECTs are
@@ -155,11 +131,10 @@ type Config struct {
 	// DataDir/MANIFEST.json, ingest is write-ahead logged to a generation
 	// file (DataDir/wal.gN.log) rotated by CHECKPOINT, every PatchIndex's
 	// patch set is saved with each checkpoint generation, and decoded column
-	// payloads are governed by the clock cache. WALPath and IndexDir are
-	// ignored in this mode (the data directory owns its log and its index
-	// files). Opening an existing DataDir loads the checkpointed tables and
-	// patch sets and replays the WAL suffix automatically — no Recover call
-	// and no rediscovery.
+	// payloads are governed by the clock cache. Opening an existing DataDir
+	// loads the checkpointed tables and patch sets and replays the WAL
+	// suffix automatically, without rediscovery. It is the engine's only
+	// persistence mode: without it every table and index lives in memory.
 	DataDir string
 	// CacheBytes budgets the decoded-column clock cache in durable mode
 	// (<= 0 means unlimited: nothing is ever evicted). Dirty and pinned
@@ -217,7 +192,7 @@ type ExecOptions struct {
 type Engine struct {
 	cfg Config
 	cat *catalog.Catalog
-	log *wal.Log
+	log *wal.Log // the current WAL generation; nil outside durable mode
 
 	// latchMu guards the latches map; the per-table latches themselves
 	// implement the reader/writer table locking described above.
@@ -247,9 +222,8 @@ type Engine struct {
 	maintMu     sync.Mutex
 	maintainers map[string]*maintain.Set // per table, lazily built
 
-	// Serving fast path (see serving.go): both caches always exist and are
-	// nil-safe/atomically-disabled, so the hot path needs no config checks.
-	planCache   *serving.PlanCache
+	// Serving fast path (see serving.go): the result cache always exists
+	// and is atomically disabled, so the hot path needs no config checks.
 	resultCache *serving.ResultCache
 
 	// Durable mode (see persist.go). cache is nil outside durable mode;
@@ -268,9 +242,9 @@ type Engine struct {
 	indexFiles   map[*patch.Index]indexFile
 }
 
-// New creates an engine. If cfg.WALPath is set the log is opened (or
-// created); call Recover after reloading table data to re-create the
-// PatchIndexes recorded in the log.
+// New creates an engine. With cfg.DataDir set it opens (or creates) the
+// data directory and recovers its tables and indexes; otherwise the engine
+// is purely in memory.
 func New(cfg Config) (*Engine, error) {
 	if cfg.DefaultPartitions <= 0 {
 		cfg.DefaultPartitions = 1
@@ -319,27 +293,14 @@ func New(cfg Config) (*Engine, error) {
 	e.hQuery = e.metrics.Histogram("query_nanos")
 	e.hIndexBuild = e.metrics.Histogram("index_build_nanos")
 	e.mIndexBuilds = e.metrics.Counter("index_builds_total")
-	e.planCache = serving.NewPlanCache(cfg.PlanCacheSize, e.metrics)
-	e.planCache.SetEnabled(cfg.PlanCache)
 	e.resultCache = serving.NewResultCache(cfg.ResultCacheBytes, e.metrics)
 	e.resultCache.SetEnabled(cfg.ResultCache)
 	if cfg.DataDir != "" {
-		// The checkpoint generation owns the patch-set files in durable
-		// mode; see persist.go.
-		e.cfg.IndexDir = ""
 		e.cache = storage.NewCache(cfg.CacheBytes)
 		e.cache.SetMetrics(e.metrics)
 		if err := e.openDataDir(); err != nil {
 			return nil, err
 		}
-	} else if cfg.WALPath != "" {
-		l, err := wal.Open(cfg.WALPath)
-		if err != nil {
-			return nil, err
-		}
-		l.SetMetrics(e.metrics)
-		e.log = l
-		e.walPath = cfg.WALPath
 	}
 	return e, nil
 }
@@ -727,7 +688,7 @@ func (e *Engine) execStmt(ctx context.Context, query string, stmt sql.Statement,
 		// reference them — deleting early would break crash recovery).
 		t.ReleaseStorage()
 		e.invalidateMaintainers(s.Name)
-		if e.log != nil && e.durable() && !e.replaying {
+		if e.log != nil && !e.replaying {
 			if err := e.log.AppendDropTable(wal.DropTableRecord{Table: s.Name}); err != nil {
 				return nil, err
 			}
@@ -786,7 +747,7 @@ func (e *Engine) DrainWithContext(ctx context.Context, query string, opts ExecOp
 	start := time.Now()
 	release := e.acquireLatches(selectTables(s, nil), nil)
 	defer release()
-	node, err := e.planSelectCached(ctx, query, s, opts)
+	node, err := e.planSelect(ctx, s, opts)
 	if err != nil {
 		at.Finish(0, err)
 		return 0, err
@@ -869,22 +830,18 @@ func (e *Engine) newOptimizer(ctx context.Context, opts ExecOptions) *plan.Optim
 }
 
 // effectiveParallelism resolves the degree of parallelism for one statement:
-// a per-statement override wins, then Config.Parallelism, then the legacy
-// Config.Parallel flag (GOMAXPROCS). The result is a concrete degree — 1
-// means strictly serial plans. Values above GOMAXPROCS are allowed: they
-// enable plan splitting, and the executor's exchange bounds its actual
-// worker pool at GOMAXPROCS (and at the morsel count) on its own.
+// a per-statement override wins, then Config.Parallelism, else 1. The
+// result is a concrete degree — 1 means strictly serial plans. Values above
+// GOMAXPROCS are allowed: they enable plan splitting, and the executor's
+// exchange bounds its actual worker pool at GOMAXPROCS (and at the morsel
+// count) on its own.
 func (e *Engine) effectiveParallelism(opts ExecOptions) int {
 	p := opts.Parallelism
 	if p <= 0 {
 		p = e.cfg.Parallelism
 	}
 	if p <= 0 {
-		if e.cfg.Parallel {
-			p = 2 * runtime.GOMAXPROCS(0)
-		} else {
-			p = 1
-		}
+		p = 1
 	}
 	return p
 }
@@ -906,7 +863,7 @@ func (e *Engine) buildPlan(ctx context.Context, node plan.Node, opts ExecOptions
 }
 
 func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt, opts ExecOptions) (*Result, error) {
-	node, err := e.planSelectCached(ctx, query, s, opts)
+	node, err := e.planSelect(ctx, s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1072,7 +1029,7 @@ func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {
 	// In durable mode the inserted rows are re-grouped per partition and
 	// write-ahead logged as column images after the appends succeed.
 	var logged map[int][]*vector.Vector
-	if e.log != nil && e.durable() && !e.replaying {
+	if e.log != nil && !e.replaying {
 		logged = map[int][]*vector.Vector{}
 	}
 	for _, row := range s.Rows {
@@ -1322,11 +1279,6 @@ func (e *Engine) createPatchIndexLatched(table, column string, c patch.Constrain
 		return nil, err
 	}
 	e.invalidateMaintainers(table)
-	if e.cfg.IndexDir != "" {
-		if err := ix.Save(e.indexPath(table, column, c)); err != nil {
-			return nil, fmt.Errorf("patchindex: materializing index: %w", err)
-		}
-	}
 	if e.log != nil {
 		rec := wal.CreateIndexRecord{
 			Table:      table,
@@ -1343,60 +1295,15 @@ func (e *Engine) createPatchIndexLatched(table, column string, c patch.Constrain
 	return ix, nil
 }
 
-// Recover replays the WAL and re-creates every PatchIndex it records, using
-// the same discovery mechanisms as the original creation. Tables must
-// already contain their data (the engine stores tables in memory; only index
-// definitions are durable).
-func (e *Engine) Recover() error {
-	if e.durable() {
-		return nil // durable engines recover automatically in New
-	}
-	if e.cfg.WALPath == "" {
-		return fmt.Errorf("patchindex: recovery requires a WAL path")
-	}
-	return wal.Replay(e.cfg.WALPath, func(entry wal.Entry) error {
-		switch entry.Kind {
-		case wal.RecordCreateIndex:
-			r := entry.Create
-			if e.cat.Lookup(r.Table, r.Column, patch.Constraint(r.Constraint)) != nil {
-				return nil // already present
-			}
-			_, err := e.createIndexNoLog(r)
-			return err
-		case wal.RecordDropIndex:
-			r := entry.Drop
-			if e.cat.Index(r.Table, r.Column) == nil {
-				return nil
-			}
-			return e.cat.DropIndex(r.Table, r.Column)
-		default:
-			return nil
-		}
-	})
-}
-
+// createIndexNoLog rediscovers the index r defines and registers it without
+// logging. Durable recovery uses it for indexes created in the WAL suffix
+// and when no checkpointed patch-set file matches the table.
 func (e *Engine) createIndexNoLog(r *wal.CreateIndexRecord) (*patch.Index, error) {
 	release := e.acquireLatches(nil, []string{r.Table})
 	defer release()
 	t, err := e.cat.Table(r.Table)
 	if err != nil {
 		return nil, err
-	}
-	// Prefer the materialized index (Section V alternative): restoring the
-	// patch payload is O(|P_c|) instead of re-running discovery over the
-	// data. Fall back to re-discovery when the file is missing, corrupt, or
-	// does not match the reloaded table.
-	if e.cfg.IndexDir != "" {
-		rows := make([]int, t.NumPartitions())
-		for p := range rows {
-			rows[p] = t.Partition(p).NumRows()
-		}
-		if ix := loadIndexFile(e.indexPath(r.Table, r.Column, patch.Constraint(r.Constraint)), r, rows); ix != nil {
-			if err := e.cat.AddIndex(ix); err != nil {
-				return nil, err
-			}
-			return ix, nil
-		}
 	}
 	ix, err := discovery.BuildIndex(t, r.Column, patch.Constraint(r.Constraint), discovery.BuildOptions{
 		Kind:        patch.Kind(r.Kind),
@@ -1412,15 +1319,6 @@ func (e *Engine) createIndexNoLog(r *wal.CreateIndexRecord) (*patch.Index, error
 		return nil, err
 	}
 	return ix, nil
-}
-
-// indexPath names the materialization file of one index.
-func (e *Engine) indexPath(table, column string, c patch.Constraint) string {
-	kind := "nuc"
-	if c == patch.NearlySorted {
-		kind = "nsc"
-	}
-	return filepath.Join(e.cfg.IndexDir, fmt.Sprintf("%s.%s.%s.pidx", table, column, kind))
 }
 
 // loadIndexFile loads a materialized index and accepts it only if it is the

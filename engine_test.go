@@ -3,12 +3,10 @@ package patchindex
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
-	"patchindex/internal/patch"
 	"patchindex/internal/vector"
 )
 
@@ -261,46 +259,3 @@ func TestPatchIndexJoinRewriteMatchesBaseline(t *testing.T) {
 		t.Errorf("expected MergeJoin in plan:\n%s", exp.Message)
 	}
 }
-
-func TestWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "engine.wal")
-
-	e1, err := New(Config{WALPath: walPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadExceptionTable(t, e1, "data", 5000, 2, 0.05, 11)
-	mustExec(t, e1, "CREATE PATCHINDEX ON data(u) UNIQUE THRESHOLD 0.5")
-	mustExec(t, e1, "CREATE PATCHINDEX ON data(s) SORTED THRESHOLD 0.5")
-	mustExec(t, e1, "DROP PATCHINDEX ON data(s)")
-	card := e1.Catalog().Index("data", "u").Cardinality()
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: reload the data, then replay the WAL.
-	e2, err := New(Config{WALPath: walPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	loadExceptionTable(t, e2, "data", 5000, 2, 0.05, 11)
-	if err := e2.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	ix := e2.Catalog().Index("data", "u")
-	if ix == nil {
-		t.Fatal("index on u not recovered")
-	}
-	if ix.Cardinality() != card {
-		t.Errorf("recovered cardinality %d, want %d", ix.Cardinality(), card)
-	}
-	if e2.Catalog().Index("data", "s") != nil {
-		t.Error("dropped index on s should not be recovered")
-	}
-}
-
-// nscConstraint exposes the NSC constant to tests in other files without an
-// extra import of internal/patch at each site.
-func nscConstraint() patch.Constraint { return patch.NearlySorted }

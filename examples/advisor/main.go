@@ -1,10 +1,11 @@
 // Advisor: the self-management loop. A cloud database without a DBA must
 // discover constraints itself — but unclean data (NULLs, duplicates from
 // data integration, late arrivals) prevents perfect constraints. This
-// example loads such data, runs the constraint advisor, persists the
-// discovered PatchIndex definitions to a write-ahead log, and demonstrates
-// recovery: after a "crash", the indexes are reconstructed from the data by
-// replaying the WAL (the patches themselves are never logged).
+// example loads such data into a durable engine, runs the constraint
+// advisor, checkpoints the table together with the discovered patch sets,
+// and demonstrates recovery: after a "crash", reopening the same data
+// directory restores the table and loads the indexes from their
+// checkpointed patch-set files, without reloading data or rediscovering.
 //
 //	go run ./examples/advisor
 package main
@@ -14,7 +15,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"path/filepath"
+	"time"
 
 	"patchindex"
 	"patchindex/internal/discovery"
@@ -73,9 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	walPath := filepath.Join(dir, "orders.wal")
+	cfg := patchindex.Config{DefaultPartitions: 4, DataDir: dir}
 
-	eng, err := patchindex.New(patchindex.Config{DefaultPartitions: 4, WALPath: walPath})
+	eng, err := patchindex.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func main() {
 			p.Column, p.Constraint, 100*p.ExceptionRate, p.RecommendedKind, p.EstimatedBytes)
 	}
 
-	// 2. Accept the proposals; creation is logged to the WAL.
+	// 2. Accept the proposals; each definition is logged to the WAL slim.
 	for _, p := range proposals {
 		if _, err := eng.CreatePatchIndex(p.Table, p.Column, p.Constraint, discovery.BuildOptions{
 			Kind: patch.Auto, Threshold: 0.05, Descending: p.Descending,
@@ -111,27 +112,27 @@ func main() {
 	fmt.Println("\nindexes after advisor run:")
 	fmt.Print(res.String())
 
-	// 3. "Crash" and restart: the WAL holds only the definitions; the
-	//    patches are recomputed from the reloaded data.
+	// 3. Checkpoint (segments, manifest and patch sets), "crash" and reopen
+	//    the same data directory: no data reload, no rediscovery.
+	if _, err := eng.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
-	eng2, err := patchindex.New(patchindex.Config{DefaultPartitions: 4, WALPath: walPath})
+	eng2, err := patchindex.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng2.Close()
-	if err := loadOrders(eng2); err != nil {
-		log.Fatal(err)
-	}
-	if err := eng2.Recover(); err != nil {
-		log.Fatal(err)
-	}
+	rec := eng2.Recovery()
+	fmt.Printf("\nrecovered %d table(s) in %s: %d index(es) loaded from patch-set files, %d rediscovered\n",
+		rec.ManifestTables, rec.Duration.Round(time.Microsecond), rec.IndexesLoaded, rec.IndexesRediscovered)
 	res, err = eng2.Exec("SHOW PATCHINDEXES")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("indexes after crash + WAL replay:")
+	fmt.Println("indexes after crash + restart:")
 	fmt.Print(res.String())
 
 	// 4. The recovered indexes immediately speed up queries again.
@@ -141,11 +142,4 @@ func main() {
 	}
 	fmt.Println("count-distinct plan after recovery:")
 	fmt.Print(exp.Message)
-
-	walInfo, err := os.Stat(walPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nWAL size: %d bytes for %d indexes — the patches themselves are never logged.\n",
-		walInfo.Size(), len(proposals))
 }

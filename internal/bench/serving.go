@@ -16,10 +16,10 @@ import (
 
 // Serving measures the multi-tenant serving fast path (no paper
 // counterpart): phase 1 is a repeated-query microbench comparing the same
-// statements on a cold engine, a plan-cache engine, and a plan+result-cache
-// engine; phase 2 drives a mixed-tenant server (a high-priority "dash"
-// tenant sharing the box with a rate-limited low-priority "batch" tenant)
-// with caches off and on, reporting per-tenant p50/p95 and shed counts.
+// statements on a cold engine and a result-cache engine; phase 2 drives a
+// mixed-tenant server (a high-priority "dash" tenant sharing the box with a
+// rate-limited low-priority "batch" tenant) with the result cache off and
+// on, reporting per-tenant p50/p95 and shed counts.
 func Serving(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "== serving fast path: cache-hit latency and mixed-tenant QoS (%d rows) ==\n", cfg.Rows)
 	if err := servingMicrobench(cfg, w); err != nil {
@@ -35,17 +35,16 @@ var servingQueries = []struct{ name, sql string }{
 	{"topk", "SELECT s FROM data ORDER BY s LIMIT 100"},
 }
 
-// servingMicrobench runs each statement repeatedly on three engines that
-// differ only in their cache configuration and reports median per-statement
-// latency plus the cache-hit speedups over the cold engine.
+// servingMicrobench runs each statement repeatedly on two engines that
+// differ only in whether the result cache is on and reports median
+// per-statement latency plus the cache-hit speedup over the cold engine.
 func servingMicrobench(cfg Config, w io.Writer) error {
 	variants := []struct {
-		name         string
-		plan, result bool
+		name   string
+		result bool
 	}{
-		{"cold", false, false},
-		{"plan-cache", true, false},
-		{"plan+result", true, true},
+		{"cold", false},
+		{"result-cache", true},
 	}
 	iters := cfg.Reps * 5
 	if iters < 9 {
@@ -61,7 +60,6 @@ func servingMicrobench(cfg Config, w io.Writer) error {
 			DefaultPartitions: cfg.Partitions,
 			Parallelism:       cfg.Parallelism,
 			Metrics:           cfg.Metrics,
-			PlanCache:         v.plan,
 			ResultCache:       v.result,
 		})
 		if err != nil {
@@ -72,7 +70,7 @@ func servingMicrobench(cfg Config, w io.Writer) error {
 			return err
 		}
 		for _, q := range servingQueries {
-			// One warm-up execution populates the caches; the cold engine
+			// One warm-up execution populates the cache; the cold engine
 			// re-executes from scratch every time regardless.
 			if _, err := e.Exec(q.sql); err != nil {
 				e.Close()
@@ -93,23 +91,16 @@ func servingMicrobench(cfg Config, w io.Writer) error {
 		e.Close()
 	}
 
-	fmt.Fprintf(w, "%-16s %-12s %-12s %-12s %-10s %-10s\n",
-		"query", "cold", "plan-cache", "plan+result", "plan spd", "result spd")
+	fmt.Fprintf(w, "%-16s %-12s %-12s %-10s\n", "query", "cold", "result-cache", "speedup")
 	for _, q := range servingQueries {
 		cold := medians[q.name]["cold"]
-		planned := medians[q.name]["plan-cache"]
-		full := medians[q.name]["plan+result"]
-		planSpd := float64(cold) / float64(planned)
-		resultSpd := float64(cold) / float64(full)
-		fmt.Fprintf(w, "%-16s %-12s %-12s %-12s %-10s %-10s\n", q.name,
-			cold.Round(time.Microsecond), planned.Round(time.Microsecond),
-			full.Round(time.Microsecond),
-			fmt.Sprintf("%.1fx", planSpd), fmt.Sprintf("%.1fx", resultSpd))
+		cached := medians[q.name]["result-cache"]
+		spd := float64(cold) / float64(cached)
+		fmt.Fprintf(w, "%-16s %-12s %-12s %-10s\n", q.name,
+			cold.Round(time.Microsecond), cached.Round(time.Microsecond), fmt.Sprintf("%.1fx", spd))
 		cfg.record(ExpServing, q.name+"/cold", 0, ms(cold), "ms")
-		cfg.record(ExpServing, q.name+"/plan_cache", 0, ms(planned), "ms")
-		cfg.record(ExpServing, q.name+"/plan_result_cache", 0, ms(full), "ms")
-		cfg.record(ExpServing, q.name+"/speedup_plan", 0, planSpd, "x")
-		cfg.record(ExpServing, q.name+"/speedup_result", 0, resultSpd, "x")
+		cfg.record(ExpServing, q.name+"/result_cache", 0, ms(cached), "ms")
+		cfg.record(ExpServing, q.name+"/speedup_result", 0, spd, "x")
 	}
 	return nil
 }
@@ -121,12 +112,13 @@ type tenantRun struct {
 	shed            int64
 }
 
-// servingMixedTenant runs the mixed-tenant experiment twice — caches off,
-// caches on — and reports per-tenant latency percentiles and shed counts.
+// servingMixedTenant runs the mixed-tenant experiment twice — result cache
+// off, result cache on — and reports per-tenant latency percentiles and
+// shed counts.
 func servingMixedTenant(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "\nmixed-tenant server: dash (high priority) vs batch (rate-limited, low priority)\n")
 	fmt.Fprintf(w, "%-10s %-8s %-8s %-8s %-12s %-12s %-6s\n",
-		"caches", "tenant", "issued", "errors", "p50", "p95", "shed")
+		"cache", "tenant", "issued", "errors", "p50", "p95", "shed")
 	var p50 = map[string]map[string]time.Duration{}
 	for _, cached := range []bool{false, true} {
 		mode := "off"
@@ -151,20 +143,19 @@ func servingMixedTenant(cfg Config, w io.Writer) error {
 	}
 	for _, tenant := range []string{"dash", "batch"} {
 		spd := float64(p50["off"][tenant]) / float64(p50["on"][tenant])
-		fmt.Fprintf(w, "%s p50 with caches: %.1fx lower\n", tenant, spd)
+		fmt.Fprintf(w, "%s p50 with the result cache: %.1fx lower\n", tenant, spd)
 		cfg.record(ExpServing, "server/"+tenant+"/p50_speedup", 0, spd, "x")
 	}
 	return nil
 }
 
-// servingServerPass starts one server (caches per `cached`), hammers it with
-// concurrent dash and batch clients repeating the serving queries, and
-// returns per-tenant latency and shed statistics.
+// servingServerPass starts one server (result cache per `cached`), hammers
+// it with concurrent dash and batch clients repeating the serving queries,
+// and returns per-tenant latency and shed statistics.
 func servingServerPass(cfg Config, cached bool) (map[string]*tenantRun, error) {
 	eng, err := patchindex.New(patchindex.Config{
 		DefaultPartitions: cfg.Partitions,
 		Parallelism:       cfg.Parallelism,
-		PlanCache:         cached,
 		ResultCache:       cached,
 	})
 	if err != nil {

@@ -19,9 +19,9 @@ type Catalog struct {
 	tables  map[string]*storage.Table
 	indexes map[string]*patch.Index // key: table "." column
 	// epoch counts schema mutations (table or index add/drop). Readers that
-	// cache derived state — the plan cache of the future, the tuner's planned
-	// actions — revalidate when the epoch moved under them, so indexes can
-	// appear and disappear in the background without stale decisions.
+	// cache derived state, such as the tuner's planned actions, revalidate
+	// when the epoch moved under them, so indexes can appear and disappear
+	// in the background without stale decisions.
 	epoch atomic.Uint64
 }
 

@@ -160,16 +160,6 @@ func (s *StmtObs) SetRootCost(c float64) {
 	}
 }
 
-// Accesses returns the bind-time column accesses (nil-safe). The plan
-// cache captures these on a miss and replays them on every hit so the
-// workload observatory keeps seeing cached statements.
-func (s *StmtObs) Accesses() []ColumnAccess {
-	if s == nil {
-		return nil
-	}
-	return s.accesses
-}
-
 // Rewrites returns the accepted-rewrite notes (nil-safe; EXPLAIN ANALYZE).
 func (s *StmtObs) Rewrites() []RewriteNote {
 	if s == nil {

@@ -214,10 +214,10 @@ func TestTenantInFlightCap(t *testing.T) {
 }
 
 // TestServingStatsEndpoint checks the serving cache metrics surface end to
-// end: a cached engine behind the server must report plan/result cache
+// end: a cached engine behind the server must report result cache
 // traffic in the registry (and therefore /metrics, /stats, the sampler).
 func TestServingStatsEndpoint(t *testing.T) {
-	eng, err := patchindex.New(patchindex.Config{PlanCache: true, ResultCache: true})
+	eng, err := patchindex.New(patchindex.Config{ResultCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +240,11 @@ func TestServingStatsEndpoint(t *testing.T) {
 		}
 	}
 	snap := eng.Metrics().Snapshot()
-	if snap.Counters["serving.plan_cache.hits"] < 2 {
-		t.Fatalf("plan cache hits = %d", snap.Counters["serving.plan_cache.hits"])
-	}
 	if snap.Counters["serving.result_cache.hits"] < 2 {
 		t.Fatalf("result cache hits = %d", snap.Counters["serving.result_cache.hits"])
 	}
 	st := eng.ServingStats()
-	if !st.PlanCache.Enabled || st.PlanCache.Entries == 0 {
+	if !st.ResultCache.Enabled || st.ResultCache.Entries == 0 {
 		t.Fatalf("serving stats: %+v", st)
 	}
 }

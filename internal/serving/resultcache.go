@@ -21,9 +21,9 @@ const DefaultResultCacheBytes = 32 << 20 // 32 MiB
 // tenant evicts its own entries before anyone else's). Entries larger than
 // maxEntry (budget/8) bypass the cache entirely.
 //
-// Unlike the plan cache, the result cache is a single mutex-protected
-// structure: it is only consulted for statements that were already going to
-// execute, so a hit saves orders of magnitude more than the lock costs.
+// The cache is a single mutex-protected structure: it is only consulted for
+// statements that were already going to execute, so a hit saves orders of
+// magnitude more than the lock costs.
 type ResultCache struct {
 	enabled atomic.Bool
 

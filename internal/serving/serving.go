@@ -1,13 +1,13 @@
 // Package serving implements the multi-tenant serving fast path: a
-// sharded, epoch-invalidated bound-plan cache, a versioned byte-budget
-// result cache, and per-tenant QoS (token-bucket rate limits, in-flight
-// caps, and priority classes used for graduated admission shedding).
+// versioned byte-budget result cache and per-tenant QoS (token-bucket rate
+// limits, in-flight caps, and priority classes used for graduated
+// admission shedding).
 //
-// The caches are deliberately value-agnostic: they store `any` payloads so
-// the package depends only on internal/obs. The engine owns the concrete
-// cached plan/result types and all validity reasoning (catalog epochs,
-// per-table version stamps); this package owns bounding, eviction, and
-// metric accounting. Both caches sit on the per-statement hot path, so the
+// The result cache is deliberately value-agnostic: it stores `any`
+// payloads so the package depends only on internal/obs. The engine owns
+// the concrete cached result type and all validity reasoning (per-table
+// version stamps); this package owns bounding, eviction, and metric
+// accounting. The cache sits on the per-statement hot path, so its
 // disabled path is a single atomic load with no locking or hashing.
 package serving
 
@@ -16,7 +16,7 @@ import "hash/fnv"
 // hashText is the bucket hash for cache keys: FNV-1a over the raw
 // statement text. Raw text (not the literal-stripped fingerprint) is
 // required because sql.Fingerprint collapses literals to '?', and two
-// statements differing only in literals must never share a plan or result.
+// statements differing only in literals must never share a result.
 func hashText(text string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(text))
@@ -24,9 +24,8 @@ func hashText(text string) uint64 {
 }
 
 // OptsKey packs the session-relevant execution options that change what a
-// cached entry means. Rewrite toggles select different plans; parallelism
-// and kernel toggles can change unordered result layouts, so the result
-// cache includes them too.
+// cached result means: rewrite toggles select different plans, and
+// parallelism and kernel toggles can change unordered result layouts.
 type OptsKey struct {
 	DisableRewrites bool
 	DisableKernels  bool

@@ -2,106 +2,11 @@ package serving
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"patchindex/internal/obs"
 )
-
-func TestPlanCacheBasic(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := NewPlanCache(64, reg)
-	opts := OptsKey{}
-
-	if _, ok := c.Get("q1", opts, 1); ok {
-		t.Fatal("disabled cache must miss")
-	}
-	c.Put("q1", opts, 1, "v1")
-	if c.Len() != 0 {
-		t.Fatal("disabled cache must not store")
-	}
-
-	c.SetEnabled(true)
-	c.Put("q1", opts, 1, "v1")
-	v, ok := c.Get("q1", opts, 1)
-	if !ok || v.(string) != "v1" {
-		t.Fatalf("expected hit v1, got %v %v", v, ok)
-	}
-	// Different options are a different key.
-	if _, ok := c.Get("q1", OptsKey{DisableRewrites: true}, 1); ok {
-		t.Fatal("options must partition the key space")
-	}
-	// Epoch bump invalidates.
-	if _, ok := c.Get("q1", opts, 2); ok {
-		t.Fatal("stale-epoch entry must miss")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry must be dropped, len=%d", c.Len())
-	}
-	// Replacement at the new epoch.
-	c.Put("q1", opts, 2, "v2")
-	if v, ok := c.Get("q1", opts, 2); !ok || v.(string) != "v2" {
-		t.Fatalf("expected v2 after re-put, got %v %v", v, ok)
-	}
-
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Invalidations != 1 {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-}
-
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(planShards, nil) // one entry per shard
-	c.SetEnabled(true)
-	// Find two texts in the same shard, insert both: first must be evicted.
-	base := "SELECT 0"
-	sh := hashText(base) % planShards
-	second := ""
-	for i := 1; i < 10000; i++ {
-		s := fmt.Sprintf("SELECT %d", i)
-		if hashText(s)%planShards == sh {
-			second = s
-			break
-		}
-	}
-	if second == "" {
-		t.Fatal("no shard collision found")
-	}
-	c.Put(base, OptsKey{}, 1, "a")
-	c.Put(second, OptsKey{}, 1, "b")
-	if _, ok := c.Get(base, OptsKey{}, 1); ok {
-		t.Fatal("LRU tail must have been evicted")
-	}
-	if v, ok := c.Get(second, OptsKey{}, 1); !ok || v.(string) != "b" {
-		t.Fatal("newest entry must survive")
-	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-}
-
-func TestPlanCacheConcurrency(t *testing.T) {
-	c := NewPlanCache(256, nil)
-	c.SetEnabled(true)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				text := fmt.Sprintf("SELECT %d", i%40)
-				epoch := uint64(i % 3)
-				if v, ok := c.Get(text, OptsKey{}, epoch); ok && v.(string) != text {
-					t.Errorf("wrong value %v for %q", v, text)
-					return
-				}
-				c.Put(text, OptsKey{}, epoch, text)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
 
 func TestResultCacheVersionInvalidation(t *testing.T) {
 	c := NewResultCache(1<<20, nil)
@@ -294,32 +199,5 @@ func TestQoSMetricsRegistered(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["tenant.acme.in_flight"]; !ok {
 		t.Fatal("tenant.acme.in_flight gauge missing")
-	}
-}
-
-// BenchmarkPlanCacheDisabledPath gates the cost a disabled plan cache adds
-// to every statement; CI asserts < 50ns/op like the profiler and sampler
-// disabled-path gates.
-func BenchmarkPlanCacheDisabledPath(b *testing.B) {
-	c := NewPlanCache(64, nil)
-	opts := OptsKey{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get("SELECT COUNT(*) FROM data WHERE u > 100", opts, 1); ok {
-			b.Fatal("unexpected hit")
-		}
-	}
-}
-
-func BenchmarkPlanCacheHit(b *testing.B) {
-	c := NewPlanCache(64, nil)
-	c.SetEnabled(true)
-	opts := OptsKey{}
-	c.Put("q", opts, 1, "v")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get("q", opts, 1); !ok {
-			b.Fatal("miss")
-		}
 	}
 }

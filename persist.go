@@ -283,7 +283,7 @@ func (e *Engine) replayWAL() error {
 // stays within the replayer's framing guard. No-op outside durable mode and
 // during replay.
 func (e *Engine) logAppend(table string, part int, cols []*vector.Vector) error {
-	if e.log == nil || !e.durable() || e.replaying {
+	if e.log == nil || e.replaying {
 		return nil
 	}
 	n := 0
@@ -321,7 +321,7 @@ func (e *Engine) logAppend(table string, part int, cols []*vector.Vector) error 
 
 // logCreateTable write-ahead logs a CREATE TABLE in durable mode.
 func (e *Engine) logCreateTable(t *storage.Table, partitions int) error {
-	if e.log == nil || !e.durable() || e.replaying {
+	if e.log == nil || e.replaying {
 		return nil
 	}
 	schema := t.Schema()

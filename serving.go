@@ -1,16 +1,13 @@
 package patchindex
 
-// Serving fast path: the engine side of internal/serving. The plan cache
-// stores bound+optimized logical plans keyed on raw statement text and the
-// rewrite toggle, valid for exactly one catalog epoch; the result cache
-// stores materialized rows keyed additionally on the per-table version
-// stamp vector. Both are consulted only while the statement's shared table
-// latches are held (execPrepared/DrainWithContext latch before planning),
-// which is what makes the validity checks sound: DDL, tuner actions, and
-// appends on the referenced tables all require the exclusive latch, so an
-// epoch or version observed under the shared latch cannot change before
-// the plan finishes executing. Epoch bumps on *unrelated* tables only
-// cause spurious plan-cache misses, never stale hits.
+// Serving fast path: the engine side of internal/serving. The result cache
+// stores materialized rows keyed on raw statement text, the session options
+// and the per-table version stamp vector. It is consulted only while the
+// statement's shared table latches are held (execPrepared/DrainWithContext
+// latch before planning), which is what makes the validity check sound:
+// appends on the referenced tables require the exclusive latch, so a
+// version observed under the shared latch cannot change before the plan
+// finishes executing.
 
 import (
 	"context"
@@ -23,35 +20,6 @@ import (
 	"patchindex/internal/vector"
 )
 
-// cachedPlan is the plan-cache payload: the optimized logical plan plus
-// the plan-time workload observations captured at miss time. plan.Build
-// never mutates the logical node tree (zone pruning and parallel splitting
-// happen per build), so one node serves arbitrarily many executions.
-type cachedPlan struct {
-	node     plan.Node
-	accesses []obs.ColumnAccess
-	rewrites []obs.RewriteNote
-	shadows  []obs.ShadowNote
-}
-
-// replay feeds the captured plan-time observations into a hit's StmtObs so
-// the workload observatory, benefit attribution, and shadow accounting see
-// cached statements exactly as they see freshly planned ones.
-func (c *cachedPlan) replay(so *obs.StmtObs) {
-	if so == nil {
-		return
-	}
-	for _, a := range c.accesses {
-		so.AddAccess(a)
-	}
-	for _, r := range c.rewrites {
-		so.AddRewrite(r)
-	}
-	for _, s := range c.shadows {
-		so.AddShadow(s)
-	}
-}
-
 // cachedResult is the result-cache payload. Columns and Rows are shared
 // (never mutated after materialization); each hit wraps them in a fresh
 // Result so per-statement fields (Duration, TraceID) stay per-execution.
@@ -61,59 +29,15 @@ type cachedResult struct {
 	bytes   int64
 }
 
-// planOptsKey derives the cache key bits from the session options. The
-// plan cache only needs the rewrite toggle (parallelism and kernels are
-// applied at build time, after the cached logical plan); the result cache
-// uses the full key since parallel execution can change unordered layouts.
-func (e *Engine) planOptsKey(opts ExecOptions) serving.OptsKey {
-	return serving.OptsKey{
-		DisableRewrites: e.cfg.DisablePatchRewrites || opts.DisablePatchRewrites,
-	}
-}
-
+// resultOptsKey derives the result-cache key bits from the session
+// options: parallel execution can change unordered layouts, so the degree
+// is part of the key.
 func (e *Engine) resultOptsKey(opts ExecOptions) serving.OptsKey {
 	return serving.OptsKey{
 		DisableRewrites: e.cfg.DisablePatchRewrites || opts.DisablePatchRewrites,
 		DisableKernels:  e.cfg.DisableKernels || opts.DisableKernels,
 		Parallelism:     e.effectiveParallelism(opts),
 	}
-}
-
-// planSelectCached is planSelect behind the epoch-checked plan cache. The
-// caller must hold (at least shared) latches on every table the statement
-// references; the epoch read under those latches pins the index set for
-// the statement's whole execution.
-func (e *Engine) planSelectCached(ctx context.Context, query string, s *sql.SelectStmt, opts ExecOptions) (plan.Node, error) {
-	if !e.planCache.Enabled() {
-		return e.planSelect(ctx, s, opts)
-	}
-	key := e.planOptsKey(opts)
-	epoch := e.cat.Epoch()
-	at := obs.TraceFromContext(ctx)
-	if v, ok := e.planCache.Get(query, key, epoch); ok {
-		sp := at.StartSpan("plan_cache", -1)
-		cp := v.(*cachedPlan)
-		cp.replay(obs.StmtObsFromContext(ctx))
-		at.EndSpan(sp)
-		return cp.node, nil
-	}
-	// Miss: plan with a dedicated StmtObs so the plan-time observations can
-	// be captured for replay, then forward them to the statement's own
-	// observation (when profiling is on).
-	planObs := &obs.StmtObs{}
-	node, err := e.planSelect(obs.ContextWithStmtObs(ctx, planObs), s, opts)
-	if err != nil {
-		return nil, err
-	}
-	cp := &cachedPlan{
-		node:     node,
-		accesses: planObs.Accesses(),
-		rewrites: planObs.Rewrites(),
-		shadows:  planObs.Shadows(),
-	}
-	cp.replay(obs.StmtObsFromContext(ctx))
-	e.planCache.Put(query, key, epoch, cp)
-	return node, nil
 }
 
 // resultStamp is the validity key of one result-cache entry: the version
@@ -212,24 +136,16 @@ func estimateResultBytes(res *Result) int64 {
 	return size
 }
 
-// PlanCache returns the engine's serving plan cache (never nil; disabled
-// unless Config.PlanCache).
-func (e *Engine) PlanCache() *serving.PlanCache { return e.planCache }
-
 // ResultCache returns the engine's serving result cache (never nil;
 // disabled unless Config.ResultCache).
 func (e *Engine) ResultCache() *serving.ResultCache { return e.resultCache }
 
 // ServingStats is the /stats serving section.
 type ServingStats struct {
-	PlanCache   serving.PlanCacheStats   `json:"plan_cache"`
 	ResultCache serving.ResultCacheStats `json:"result_cache"`
 }
 
-// ServingStats snapshots both serving caches.
+// ServingStats snapshots the serving result cache.
 func (e *Engine) ServingStats() ServingStats {
-	return ServingStats{
-		PlanCache:   e.planCache.Stats(),
-		ResultCache: e.resultCache.Stats(),
-	}
+	return ServingStats{ResultCache: e.resultCache.Stats()}
 }

@@ -10,10 +10,10 @@ import (
 
 // TestDifferentialCachedVsFresh is the serving axis of the PQS-style
 // differential suite: every generated statement runs against a fresh
-// engine (no caches) and twice against a cached engine (cold, then hot —
-// the second execution must come from the plan/result caches), with DDL
-// and tuner-style index create/drop/append actions interleaved so the
-// epoch and version-stamp invalidation paths are exercised. All three
+// engine (no cache) and twice against a cached engine (cold, then hot —
+// the second execution may come from the result cache), with DDL and
+// tuner-style index create/drop/append actions interleaved so the
+// version-stamp invalidation path is exercised. All three
 // executions must be byte-identical; any divergence is a stale cache.
 func TestDifferentialCachedVsFresh(t *testing.T) {
 	seeds := []int64{11, 12, 13}
@@ -33,7 +33,7 @@ func TestDifferentialCachedVsFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { fresh.Close() })
-			cached, err := New(Config{DefaultPartitions: parts, PlanCache: true, ResultCache: true})
+			cached, err := New(Config{DefaultPartitions: parts, ResultCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +127,8 @@ func TestDifferentialCachedVsFresh(t *testing.T) {
 					}
 				}
 			}
-			// The hot passes must actually have been served by the caches.
+			// The hot passes must actually have been served by the cache.
 			snap := cached.Metrics().Snapshot()
-			if snap.Counters["serving.plan_cache.hits"] == 0 {
-				t.Fatal("differential run never hit the plan cache")
-			}
 			if snap.Counters["serving.result_cache.hits"] == 0 {
 				t.Fatal("differential run never hit the result cache")
 			}

@@ -11,7 +11,7 @@ import (
 
 func newServingEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(Config{DefaultPartitions: 2, PlanCache: true, ResultCache: true})
+	e, err := New(Config{DefaultPartitions: 2, ResultCache: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -25,8 +25,8 @@ func counter(e *Engine, name string) int64 {
 
 // TestPreparedRebindsOnEpochChange is the regression test for the prepared
 // statement staleness bug: a long-lived Prepared must pick up (and later
-// drop) patch-union rewrites when the tuner or DDL changes the index set,
-// because the plan cache invalidates on the catalog epoch.
+// drop) patch-union rewrites when the tuner or DDL changes the index set:
+// every execution plans against the current catalog.
 func TestPreparedRebindsOnEpochChange(t *testing.T) {
 	e := newServingEngine(t)
 	loadExceptionTable(t, e, "data", 4000, 2, 0.05, 42)
@@ -44,8 +44,8 @@ func TestPreparedRebindsOnEpochChange(t *testing.T) {
 		t.Fatalf("no index yet but %d rewrites fired", fired)
 	}
 
-	// Simulate a tuner auto-create: the epoch bump must invalidate the
-	// cached plan so the next prepared execution binds the new index.
+	// Simulate a tuner auto-create: the next prepared execution must bind
+	// the new index.
 	if _, err := e.CreatePatchIndex("data", "u", patch.NearlyUnique,
 		discovery.BuildOptions{Threshold: 1.0, Force: true}); err != nil {
 		t.Fatal(err)
@@ -59,9 +59,6 @@ func TestPreparedRebindsOnEpochChange(t *testing.T) {
 	}
 	if fired := counter(e, "rewrites_fired_total"); fired == 0 {
 		t.Fatal("prepared statement kept its stale plan: no rewrite fired after index create")
-	}
-	if inv := counter(e, "serving.plan_cache.invalidations"); inv == 0 {
-		t.Fatal("epoch bump did not invalidate the cached plan")
 	}
 
 	// Simulate a tuner drop: the plan must rebind again and stop using the
@@ -79,24 +76,6 @@ func TestPreparedRebindsOnEpochChange(t *testing.T) {
 	}
 	if fired := counter(e, "rewrites_fired_total"); fired != firedBefore {
 		t.Fatal("rewrite fired against a dropped index")
-	}
-}
-
-// TestPlanCacheHitPath asserts repeated statements actually hit.
-func TestPlanCacheHitPath(t *testing.T) {
-	e := newServingEngine(t)
-	loadExceptionTable(t, e, "data", 2000, 2, 0.05, 7)
-	q := "SELECT MIN(s), MAX(s) FROM data WHERE u > 100"
-	for i := 0; i < 3; i++ {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits := counter(e, "serving.plan_cache.hits"); hits != 2 {
-		t.Fatalf("plan cache hits = %d, want 2", hits)
-	}
-	if hits := counter(e, "serving.result_cache.hits"); hits != 2 {
-		t.Fatalf("result cache hits = %d, want 2", hits)
 	}
 }
 
@@ -163,7 +142,6 @@ func TestServingDisabledByDefault(t *testing.T) {
 	mustExec(t, e, "SELECT COUNT(*) FROM kv")
 	snap := e.Metrics().Snapshot()
 	for _, name := range []string{
-		"serving.plan_cache.hits", "serving.plan_cache.misses",
 		"serving.result_cache.hits", "serving.result_cache.misses",
 	} {
 		if snap.Counters[name] != 0 {
@@ -171,7 +149,7 @@ func TestServingDisabledByDefault(t *testing.T) {
 		}
 	}
 	st := e.ServingStats()
-	if st.PlanCache.Enabled || st.ResultCache.Enabled {
-		t.Fatal("caches must be disabled by default")
+	if st.ResultCache.Enabled {
+		t.Fatal("result cache must be disabled by default")
 	}
 }

@@ -200,8 +200,8 @@ func TestSQLThresholdRejection(t *testing.T) {
 }
 
 func TestParallelExecutionMatchesSequential(t *testing.T) {
-	mk := func(parallel bool) *Engine {
-		e, err := New(Config{DefaultPartitions: 4, Parallel: parallel})
+	mk := func(parallelism int) *Engine {
+		e, err := New(Config{DefaultPartitions: 4, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +211,8 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 		mustExec(t, e, "CREATE PATCHINDEX ON data(s) SORTED THRESHOLD 0.5")
 		return e
 	}
-	seq := mk(false)
-	par := mk(true)
+	seq := mk(1)
+	par := mk(4)
 	for _, q := range []string{
 		"SELECT COUNT(DISTINCT u) FROM data",
 		"SELECT COUNT(*) FROM data WHERE payload > 1",

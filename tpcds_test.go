@@ -11,9 +11,9 @@ import (
 )
 
 // loadTPCDS builds the full TPC-DS-lite schema in an engine at test scale.
-func loadTPCDS(t *testing.T, parallel bool) *Engine {
+func loadTPCDS(t *testing.T, parallelism int) *Engine {
 	t.Helper()
-	e, err := New(Config{DefaultPartitions: 6, Parallel: parallel})
+	e, err := New(Config{DefaultPartitions: 6, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func loadTPCDS(t *testing.T, parallel bool) *Engine {
 // TestTPCDSEndToEnd runs the paper's two TPC-DS use cases end-to-end through
 // SQL and cross-checks rewritten plans against baselines.
 func TestTPCDSEndToEnd(t *testing.T) {
-	e := loadTPCDS(t, false)
+	e := loadTPCDS(t, 1)
 
 	// NUC indexes on the customer columns of Table I.
 	mustExec(t, e, "CREATE PATCHINDEX ON customer(c_email_address) UNIQUE THRESHOLD 0.1")
@@ -96,7 +96,7 @@ func firstRows(r *Result) string {
 // TestTPCDSAdvisorFindsThePaperConstraints: the advisor must propose the
 // constraints the paper exploits, unprompted.
 func TestTPCDSAdvisorFindsThePaperConstraints(t *testing.T) {
-	e := loadTPCDS(t, false)
+	e := loadTPCDS(t, 1)
 	props, err := e.Advise("catalog_sales", discovery.AdvisorConfig{NUCThreshold: 0.05, NSCThreshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +131,8 @@ func TestTPCDSAdvisorFindsThePaperConstraints(t *testing.T) {
 // TestTPCDSParallel cross-checks the whole scenario under the parallel
 // exchange.
 func TestTPCDSParallel(t *testing.T) {
-	seq := loadTPCDS(t, false)
-	par := loadTPCDS(t, true)
+	seq := loadTPCDS(t, 1)
+	par := loadTPCDS(t, 4)
 	for _, e := range []*Engine{seq, par} {
 		mustExec(t, e, "CREATE PATCHINDEX ON catalog_sales(cs_sold_date_sk) SORTED THRESHOLD 0.05")
 	}

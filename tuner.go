@@ -2,7 +2,6 @@ package patchindex
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"patchindex/internal/discovery"
@@ -20,8 +19,8 @@ import (
 func (e *Engine) Tuner() *tuning.Tuner { return e.tuner }
 
 // DropPatchIndex removes every PatchIndex on table.column — the programmatic
-// counterpart of DROP PATCHINDEX, sharing its catalog, maintainer,
-// materialization and WAL handling. The tuner drops through here.
+// counterpart of DROP PATCHINDEX, sharing its catalog, maintainer and WAL
+// handling. The tuner drops through here.
 func (e *Engine) DropPatchIndex(table, column string) error {
 	release := e.acquireLatches(nil, []string{table})
 	defer release()
@@ -35,11 +34,6 @@ func (e *Engine) dropPatchIndexLatched(table, column string) error {
 		return err
 	}
 	e.invalidateMaintainers(table)
-	if e.cfg.IndexDir != "" {
-		for _, c := range []patch.Constraint{patch.NearlyUnique, patch.NearlySorted} {
-			os.Remove(e.indexPath(table, column, c))
-		}
-	}
 	if e.log != nil {
 		if err := e.log.AppendDropIndex(wal.DropIndexRecord{Table: table, Column: column}); err != nil {
 			return err
