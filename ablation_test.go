@@ -14,8 +14,8 @@ import (
 )
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
-// SMA-based scan-range pruning, parallel partition scans, and the placement
-// of PatchSelect on top of range-restricted scans.
+// SMA-based scan-range pruning, typed filter kernels, parallel partition
+// scans, and the placement of PatchSelect on top of range-restricted scans.
 
 // BenchmarkAblationScanRanges measures a selective range query with and
 // without SMA block pruning.
@@ -54,6 +54,40 @@ func BenchmarkAblationScanRanges(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkAblationKernels streams a ~7 % selective filter over every block
+// of loadClusteredTable's table (v cycles 0..96, so neither SMAs nor zone
+// maps prune anything): compiled typed kernels versus the interpreted
+// evaluator. Run with -cpu 1,4 to see the interaction with morsel
+// parallelism.
+func BenchmarkAblationKernels(b *testing.B) {
+	const parts, per = 4, 64 * 1024
+	e, err := New(Config{DefaultPartitions: parts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	loadClusteredTable(b, e, parts, per)
+	const q = "SELECT v FROM clustered WHERE v > 89"
+	for _, bc := range []struct {
+		name string
+		opts ExecOptions
+	}{
+		{"interpreted", ExecOptions{DisableKernels: true}},
+		{"kernel", ExecOptions{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(parts * per * 8) // one int64 column scanned per row
+			for i := 0; i < b.N; i++ {
+				if _, err := e.DrainWith(q, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(parts*per)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
 }

@@ -123,6 +123,24 @@ func TestResultDurationAndRegistry(t *testing.T) {
 		t.Errorf("slow-query log empty or malformed: %q", slow.String())
 	}
 
+	// A drained SELECT takes the same bookkeeping path as a collected one.
+	slowBefore := strings.Count(slow.String(), "slow query")
+	if _, err := e.DrainWith("SELECT COUNT(DISTINCT v) FROM ev", ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d := reg.Snapshot()
+	for _, name := range []string{"statements_total", "queries_total", "slow_queries_total"} {
+		if got, want := d.Counters[name], s.Counters[name]+1; got != want {
+			t.Errorf("after DrainWith: %s = %d, want %d", name, got, want)
+		}
+	}
+	if got, want := d.Histograms["query_nanos"].Count, s.Histograms["query_nanos"].Count+1; got != want {
+		t.Errorf("after DrainWith: query_nanos count = %d, want %d", got, want)
+	}
+	if got := strings.Count(slow.String(), "slow query"); got != slowBefore+1 {
+		t.Errorf("after DrainWith: %d slow-log lines, want %d", got, slowBefore+1)
+	}
+
 	var text bytes.Buffer
 	if err := e.Metrics().WriteText(&text); err != nil {
 		t.Fatal(err)

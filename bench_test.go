@@ -1,7 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section VII) at testing.B scale. The full-scale harness with paper-style
-// report output is cmd/patchbench; these benchmarks exercise the identical
-// code paths:
+// (Section VII) at testing.B scale; regenerate one with
+// go test -run NONE -bench '<name>' . (EXPERIMENTS.md holds the results):
 //
 //	BenchmarkNSCJoin    — §VII-A1 fact⋈date join, baseline vs. PatchIndex
 //	BenchmarkTable1     — Table I count-distinct on customer columns

@@ -476,11 +476,34 @@ func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, opts Exec
 	return e.execPrepared(ctx, p.text, p.stmt, opts)
 }
 
-// execPrepared latches the referenced tables, dispatches the statement, and
-// records duration metrics, the trace, and the slow-query log. A trace
-// begun by ExecWithContext (with its parse span) rides in on the context;
-// the prepared path starts one here (no parse happened).
+// execPrepared runs a parsed statement under runStatement's bookkeeping,
+// collecting its rows, and stamps the result's duration and trace id.
 func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions) (*Result, error) {
+	var res *Result
+	elapsed, traceID, err := e.runStatement(ctx, query, stmt, opts, func(ctx context.Context) (int64, error) {
+		var err error
+		res, err = e.execStmt(ctx, query, stmt, opts)
+		if res == nil {
+			return 0, err
+		}
+		return int64(len(res.Rows)), err
+	})
+	if res != nil {
+		res.Duration = elapsed
+		res.TraceID = traceID
+	}
+	return res, err
+}
+
+// runStatement is the bookkeeping every executed statement shares, whether
+// its rows are collected (execPrepared) or drained (DrainWithContext). It
+// holds the statement's table latches around body, then counts the
+// statement, records its latency and workload profile, finishes its trace
+// and writes the slow-query log. A trace begun by the caller's parse rides
+// in on the context; otherwise one starts here (no parse happened). body
+// returns the statement's row count; runStatement returns the elapsed time
+// and the finished trace's id (0 when untraced).
+func (e *Engine) runStatement(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions, body func(context.Context) (int64, error)) (time.Duration, uint64, error) {
 	at := obs.TraceFromContext(ctx)
 	if at == nil {
 		at, ctx = e.beginTrace(ctx, query, opts)
@@ -491,15 +514,11 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 	}
 	start := time.Now()
 	release := e.latchStmt(stmt)
-	res, err := e.execStmt(ctx, query, stmt, opts)
+	rows, err := body(ctx)
 	release()
 	elapsed := time.Since(start)
 	e.mStatements.Inc()
 	e.hQuery.Observe(elapsed)
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
-	}
 	var fp uint64
 	if e.profiler.Enabled() {
 		var norm string
@@ -507,15 +526,12 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 		at.SetFingerprint(fp)
 		e.profiler.Record(so, fp, norm, elapsed, rows, err, e.effectiveParallelism(opts))
 	}
-	tr := at.Finish(rows, err)
-	if res != nil {
-		res.Duration = elapsed
-		if tr != nil {
-			res.TraceID = tr.ID
-		}
+	var traceID uint64
+	if tr := at.Finish(rows, err); tr != nil {
+		traceID = tr.ID
 	}
 	e.noteSlow(query, elapsed, opts, at.ID(), fp)
-	return res, err
+	return elapsed, traceID, err
 }
 
 // noteSlow logs a statement that crossed the slow-query threshold, tagging
@@ -724,7 +740,9 @@ func (e *Engine) DrainWith(query string, opts ExecOptions) (int, error) {
 	return e.DrainWithContext(context.Background(), query, opts)
 }
 
-// DrainWithContext is DrainWith under a cancellable context.
+// DrainWithContext is DrainWith under a cancellable context. It shares
+// runStatement's bookkeeping with Exec, so a drained statement is counted,
+// timed, profiled, traced and slow-logged like a collected one.
 func (e *Engine) DrainWithContext(ctx context.Context, query string, opts ExecOptions) (int, error) {
 	at, ctx := e.beginTrace(ctx, query, opts)
 	sp := at.StartSpan("parse", -1)
@@ -740,43 +758,37 @@ func (e *Engine) DrainWithContext(ctx context.Context, query string, opts ExecOp
 		at.Finish(0, err)
 		return 0, err
 	}
-	so := e.profiler.Begin()
-	if so != nil {
-		ctx = obs.ContextWithStmtObs(ctx, so)
-	}
-	start := time.Now()
-	release := e.acquireLatches(selectTables(s, nil), nil)
-	defer release()
+	var n int
+	_, _, err = e.runStatement(ctx, query, s, opts, func(ctx context.Context) (int64, error) {
+		var err error
+		n, err = e.drainSelect(ctx, s, opts)
+		return int64(n), err
+	})
+	return n, err
+}
+
+// drainSelect plans, builds and drains a SELECT, counting its rows without
+// materializing them.
+func (e *Engine) drainSelect(ctx context.Context, s *sql.SelectStmt, opts ExecOptions) (int, error) {
 	node, err := e.planSelect(ctx, s, opts)
 	if err != nil {
-		at.Finish(0, err)
 		return 0, err
 	}
 	op, err := e.buildPlan(ctx, node, opts)
 	if err != nil {
-		at.Finish(0, err)
 		return 0, err
 	}
+	at := obs.TraceFromContext(ctx)
 	execSp := at.StartSpan("execute", -1)
 	n, err := exec.DrainContext(ctx, op)
 	at.EndSpan(execSp)
-	elapsed := time.Since(start)
-	if err == nil {
-		at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
-		exec.AppendIndexUses(so, op)
+	if err != nil {
+		return n, err
 	}
-	var fp uint64
-	if e.profiler.Enabled() {
-		var norm string
-		fp, norm = sql.Fingerprint(query)
-		at.SetFingerprint(fp)
-		e.profiler.Record(so, fp, norm, elapsed, int64(n), err, e.effectiveParallelism(opts))
-	}
-	at.Finish(int64(n), err)
+	at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
+	exec.AppendIndexUses(obs.StmtObsFromContext(ctx), op)
 	e.mQueries.Inc()
-	e.hQuery.Observe(elapsed)
-	e.noteSlow(query, elapsed, opts, at.ID(), fp)
-	return n, err
+	return n, nil
 }
 
 // Query is a convenience wrapper returning an error for non-SELECT input.

@@ -22,14 +22,6 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]atomic.Pointer[Trace], n)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
 // Add publishes a completed trace, evicting the oldest entry when full.
 // The trace must not be mutated after Add.
 func (r *Ring) Add(t *Trace) {

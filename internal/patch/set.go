@@ -201,9 +201,6 @@ func (s *IdentifierSet) Iter(start uint64) *Iter {
 	return &Iter{ids: s.ids, pos: pos, done: pos >= len(s.ids)}
 }
 
-// IDs exposes the sorted id array (shared; callers must not mutate).
-func (s *IdentifierSet) IDs() []uint64 { return s.ids }
-
 // BitmapSet is the bitmap-based (dense) representation: one bit per row.
 type BitmapSet struct {
 	words   []uint64

@@ -557,22 +557,11 @@ func (t *Table) ColumnOnDisk(part, col int) bool {
 	return t.partitions[part].cols[col].vec.Load() == nil
 }
 
-// PartitionClean reports whether the partition's segment file covers all its
-// rows (no appends since the last checkpoint). Only clean partitions may be
-// scanned from their compressed image.
-func (t *Table) PartitionClean(part int) bool {
-	if t.cache == nil {
-		return false
-	}
-	p := t.partitions[part]
-	t.cache.mu.Lock()
-	defer t.cache.mu.Unlock()
-	return !p.dirty && p.store != nil
-}
-
 // OpenSegment returns the partition's segment store for direct compressed
-// reads, or nil if none. Combined with PartitionClean, selective scans use
-// this to decode just the pruned ranges without charging the cache.
+// reads, or nil if none or if the partition has appends since the last
+// checkpoint (only a clean partition may be scanned from its compressed
+// image). Selective scans use it to decode just the pruned ranges without
+// charging the cache.
 func (t *Table) OpenSegment(part int) *PartStore {
 	p := t.partitions[part]
 	if t.cache == nil {

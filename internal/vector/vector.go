@@ -170,19 +170,9 @@ func NewFromInt64(vals []int64) *Vector {
 	return &Vector{Typ: Int64, I64: vals, n: len(vals)}
 }
 
-// NewFromFloat64 wraps the given slice (not copied) into a Float64 vector.
-func NewFromFloat64(vals []float64) *Vector {
-	return &Vector{Typ: Float64, F64: vals, n: len(vals)}
-}
-
 // NewFromString wraps the given slice (not copied) into a String vector.
 func NewFromString(vals []string) *Vector {
 	return &Vector{Typ: String, Str: vals, n: len(vals)}
-}
-
-// NewFromBool wraps the given slice (not copied) into a Bool vector.
-func NewFromBool(vals []bool) *Vector {
-	return &Vector{Typ: Bool, B: vals, n: len(vals)}
 }
 
 // Len returns the number of values in the vector.

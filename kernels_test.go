@@ -11,7 +11,7 @@ import (
 // loadClusteredTable creates a table whose partition p holds k in
 // [p*per, (p+1)*per) — the layout zone maps are built for — while v cycles
 // 0..96 inside every partition.
-func loadClusteredTable(t *testing.T, e *Engine, parts, per int) {
+func loadClusteredTable(t testing.TB, e *Engine, parts, per int) {
 	t.Helper()
 	mustExec(t, e, fmt.Sprintf("CREATE TABLE clustered (k BIGINT, v BIGINT) PARTITIONS %d", parts))
 	for p := 0; p < parts; p++ {

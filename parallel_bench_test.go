@@ -7,8 +7,7 @@
 // exchange bounds its actual worker pool at GOMAXPROCS, so the -cpu sweep is
 // what varies the real parallelism. The serial sub-benchmarks pin
 // Parallelism=1 as the baseline the speedup is computed against (see
-// EXPERIMENTS.md; cmd/patchbench -exp parallel emits the same comparison as
-// JSON).
+// EXPERIMENTS.md).
 package patchindex
 
 import (

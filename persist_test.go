@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"patchindex/internal/datagen"
 	"patchindex/internal/patch"
 	"patchindex/internal/vector"
 )
@@ -217,5 +218,43 @@ func TestCheckpointIdempotent(t *testing.T) {
 	}
 	if s2.Generation != s1.Generation+1 {
 		t.Errorf("generation %d after %d", s2.Generation, s1.Generation)
+	}
+}
+
+// TestDurableCheckpointCompresses checks that a checkpoint writes the custom
+// generator's columns compressed: the segment payload must stay below the
+// 8 bytes per value that the raw BIGINT columns occupy.
+func TestDurableCheckpointCompresses(t *testing.T) {
+	const rows, parts, cols = 40_000, 2, 3 // u, s, payload
+	src, err := datagen.LoadCustom("data", rows, parts, 0.05, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newDurableEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	mustExec(t, e, "CREATE TABLE data (u BIGINT, s BIGINT, payload BIGINT)")
+	for p := 0; p < parts; p++ {
+		vecs := make([]*vector.Vector, cols)
+		for c := range vecs {
+			v, release, err := src.PinColumn(p, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release() // src has no cache: a direct reference, nothing pinned
+			vecs[c] = v
+		}
+		if err := e.LoadColumns("data", p, vecs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.PartitionsFlushed != parts {
+		t.Errorf("checkpoint flushed %d partitions, want %d", ck.PartitionsFlushed, parts)
+	}
+	if raw := int64(8 * rows * cols); ck.SegmentBytes <= 0 || ck.SegmentBytes >= raw {
+		t.Errorf("SegmentBytes = %d, want in (0, %d)", ck.SegmentBytes, raw)
 	}
 }
