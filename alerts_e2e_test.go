@@ -149,14 +149,6 @@ func TestAlertDriftFiresAndResolvesE2E(t *testing.T) {
 	if p, ok := m.Series().Lookup("table.drifty.zone_stale_rows").Latest(); !ok || p.Last != 0 {
 		t.Fatalf("zone staleness after rebuild = %+v, want 0", p)
 	}
-
-	// \alerts (the patchcli rendering) tells the same story as text.
-	var sb strings.Builder
-	obs.WriteAlertsText(&sb, m.Alerter().Alerts(), m.Alerter().History(20))
-	text := sb.String()
-	if !strings.Contains(text, "patch_ratio_drift") || !strings.Contains(text, "tuner_rebuild") {
-		t.Fatalf("WriteAlertsText output missing alert lines:\n%s", text)
-	}
 }
 
 // TestShowTimeseriesSQL covers the SHOW TIMESERIES FOR <metric> surface.

@@ -1,6 +1,6 @@
-// Command patchcli is an interactive SQL shell for the patchindex engine.
-// It can pre-load the demo datasets so PatchIndex behaviour is explorable
-// interactively:
+// Command patchcli is an interactive SQL shell for the patchindex engine,
+// embedded or connected to a patchserver. It can pre-load the demo datasets
+// so PatchIndex behaviour is explorable interactively:
 //
 //	patchcli                       # empty engine
 //	patchcli -demo tpcds           # customer, catalog_sales, date_dim
@@ -10,16 +10,21 @@
 //	patchcli -connect host:5433    # remote shell against a patchserver
 //	patchcli -connect host:5433 -tenant dash   # ... as QoS tenant "dash"
 //
-// Inside the shell, statements end with ';', \stats prints the engine
-// metrics registry, \trace on|off toggles per-statement tracing (the trace
-// id is printed after each result), \queries lists the recent query history
-// from the tracer's ring, \workload prints the workload observatory report
-// (enable with -workload or \workload on), \indexes prints per-index
-// health with benefit attribution, \tune [on|off|now|rollback] controls
-// the background self-tuner (enable at startup with -tune), and
-// \alerts [on|off] prints the health watchdog's alert standings (on/off
-// starts or stops its sampler; SHOW ALERTS and SHOW TIMESERIES FOR <metric>
-// work as SQL too). Try:
+// Inside the shell, statements end with ';'. Every report is a SHOW
+// statement, and the report commands are macros for them, so the embedded
+// and the remote shell print the same tables:
+//
+//	\queries                      SHOW QUERIES (traced statements, newest first)
+//	\workload                     SHOW WORKLOAD (enable with -workload)
+//	\indexes                      SHOW PATCHINDEXES
+//	\alerts                       SHOW ALERTS
+//	\tune [on|off|now|rollback]   SHOW TUNER / ALTER TUNER START|STOP|NOW|ROLLBACK
+//
+// \stats prints the metrics registry and \trace on|off traces every
+// statement (the trace id is printed after each result). The embedded
+// shell also has \workload on|off (the workload observatory) and
+// \alerts on|off (the health watchdog's sampler); the remote shell has
+// \set KEY VALUE for session settings. Try:
 //
 //	SHOW TABLES;
 //	CREATE PATCHINDEX ON customer(c_email_address) UNIQUE THRESHOLD 0.1;
@@ -32,15 +37,16 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"patchindex"
 	"patchindex/internal/datagen"
-	"patchindex/internal/obs"
 	"patchindex/internal/server"
 	"patchindex/internal/tuning"
+	"patchindex/internal/vector"
 )
 
 func main() {
@@ -126,8 +132,9 @@ func main() {
 		fatal(fmt.Errorf("unknown demo %q (tpcds, custom)", *demo))
 	}
 
+	b := embedded{eng}
 	if *execStmt != "" {
-		if err := runStatement(eng, *execStmt, false); err != nil {
+		if err := run(b, os.Stdout, *execStmt, false); err != nil {
 			fatal(err)
 		}
 		if flag.Arg(0) == "stats" {
@@ -143,200 +150,13 @@ func main() {
 		return
 	}
 
-	fmt.Println("patchindex shell — statements end with ';', \\q quits, \\stats prints metrics, \\trace on|off, \\queries, \\workload [on|off], \\indexes, \\tune [on|off|now|rollback], \\alerts [on|off]")
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	traceOn := false
-	prompt := "sql> "
-	for {
-		fmt.Print(prompt)
-		if !scanner.Scan() {
-			break
-		}
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && (trimmed == "\\q" || trimmed == "quit" || trimmed == "exit") {
-			break
-		}
-		if buf.Len() == 0 && trimmed == "\\stats" {
-			eng.Metrics().WriteText(os.Stdout)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\trace") {
-			if on, err := parseTraceArg(trimmed); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			} else {
-				traceOn = on
-				fmt.Printf("tracing %s\n", onOff(traceOn))
-			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\queries" {
-			printQueries(eng.Tracer().Recent(20))
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\workload") {
-			switch strings.TrimSpace(strings.TrimPrefix(trimmed, "\\workload")) {
-			case "on":
-				eng.Profiler().SetEnabled(true)
-				fmt.Println("workload profiling on")
-			case "off":
-				eng.Profiler().SetEnabled(false)
-				fmt.Println("workload profiling off")
-			case "":
-				obs.WriteWorkloadText(os.Stdout, eng.Profiler().Snapshot(), 20)
-			default:
-				fmt.Fprintln(os.Stderr, "usage: \\workload [on|off]")
-			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\indexes" {
-			printIndexes(eng)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\tune") {
-			if err := runTuneCommand(eng, strings.TrimSpace(strings.TrimPrefix(trimmed, "\\tune"))); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\alerts") {
-			switch strings.TrimSpace(strings.TrimPrefix(trimmed, "\\alerts")) {
-			case "on":
-				eng.Monitor().Start()
-				fmt.Println("health watchdog on")
-			case "off":
-				eng.Monitor().Stop()
-				fmt.Println("health watchdog off")
-			case "":
-				a := eng.Monitor().Alerter()
-				obs.WriteAlertsText(os.Stdout, a.Alerts(), a.History(20))
-			default:
-				fmt.Fprintln(os.Stderr, "usage: \\alerts [on|off]")
-			}
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if strings.HasSuffix(trimmed, ";") {
-			stmt := buf.String()
-			buf.Reset()
-			prompt = "sql> "
-			if err := runStatement(eng, stmt, traceOn); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-		} else if buf.Len() > 0 {
-			prompt = "...> "
-		}
-	}
+	fmt.Println("patchindex shell — " + help)
+	repl(b, os.Stdin, os.Stdout, os.Stderr)
 }
 
-// parseTraceArg parses "\trace on" / "\trace off".
-func parseTraceArg(cmd string) (bool, error) {
-	fields := strings.Fields(cmd)
-	if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-		return false, fmt.Errorf("usage: \\trace on|off")
-	}
-	return fields[1] == "on", nil
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// printQueries renders the local engine's recent query history.
-func printQueries(traces []*obs.Trace) {
-	if len(traces) == 0 {
-		fmt.Println("no completed queries recorded (enable with \\trace on or -trace-sample)")
-		return
-	}
-	fmt.Printf("%-8s  %-7s  %-12s  %8s  %10s  %s\n", "trace_id", "sampled", "duration", "rows", "patch_hits", "sql")
-	for _, t := range traces {
-		sqlText := strings.Join(strings.Fields(t.SQL), " ")
-		if len(sqlText) > 60 {
-			sqlText = sqlText[:60] + "..."
-		}
-		if t.Error != "" {
-			sqlText += " [error: " + t.Error + "]"
-		}
-		fmt.Printf("%-8d  %-7t  %-12s  %8d  %10d  %s\n",
-			t.ID, t.Sampled, t.Duration.Round(time.Microsecond), t.Rows, t.PatchHits, sqlText)
-	}
-}
-
-// printIndexes renders the local engine's per-index health with workload
-// benefit attribution (the embedded counterpart of the server's \indexes).
-func printIndexes(eng *patchindex.Engine) {
-	p := eng.Profiler()
-	tick := p.Tick()
-	health := eng.IndexHealth()
-	fmt.Printf("indexes: %d tick=%d\n", len(health), tick)
-	for _, h := range health {
-		fmt.Printf("  %s.%s %s kind=%s patches=%d rows=%d ratio=%.4f util=%.2f bytes=%d\n",
-			h.Table, h.Column, h.Constraint, h.Kinds, h.Patches, h.Rows,
-			h.PatchRatio, h.ThresholdUtilization, h.MemoryBytes)
-		if h.Rewrites > 0 || h.RowsSkipped > 0 || h.LastUsedTick > 0 {
-			fmt.Printf("    benefit: rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				h.Rewrites, h.RowsSkipped, h.CostSaved,
-				time.Duration(h.TimeSavedNanos).Round(time.Microsecond), h.LastUsedTick)
-		}
-	}
-	benefits := p.Benefit().Snapshot(tick)
-	if len(benefits) > 0 {
-		fmt.Println("attribution:")
-		for _, b := range benefits {
-			name := b.Table + "[" + b.Constraint + "]"
-			if b.Column != "" {
-				name = b.Table + "." + b.Column + "[" + b.Constraint + "]"
-			}
-			fmt.Printf("  %s rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				name, b.Rewrites, b.RowsSkipped, b.CostSaved,
-				time.Duration(b.TimeSavedNanos).Round(time.Microsecond), b.LastUsedTick)
-		}
-	}
-}
-
-// runTuneCommand drives the local engine's self-tuner: bare \tune prints
-// SHOW TUNER, the arguments map onto ALTER TUNER statements.
-func runTuneCommand(eng *patchindex.Engine, arg string) error {
-	stmt := ""
-	switch arg {
-	case "":
-		stmt = "SHOW TUNER"
-	case "on":
-		stmt = "ALTER TUNER START"
-	case "off":
-		stmt = "ALTER TUNER STOP"
-	case "now":
-		stmt = "ALTER TUNER NOW"
-	case "rollback":
-		stmt = "ALTER TUNER ROLLBACK"
-	default:
-		return fmt.Errorf("usage: \\tune [on|off|now|rollback]")
-	}
-	res, err := eng.Exec(stmt)
-	if err != nil {
-		return err
-	}
-	s := res.String()
-	fmt.Print(s)
-	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
-	}
-	return nil
-}
-
-// remoteShell runs the REPL (or a single -e statement) against a remote
-// patchserver. \stats fetches the server-side metrics registry; \set
-// KEY VALUE adjusts session settings (timeout_ms, max_rows,
-// disable_rewrites, tenant); \trace on|off requests a server-side trace for
-// every statement; \queries lists the server's recent query history. A
-// non-empty tenant moves the session to that QoS tenant before the first
-// statement.
+// remoteShell runs the shell (or a single -e statement) against a remote
+// patchserver. A non-empty tenant moves the session to that QoS tenant
+// before the first statement.
 func remoteShell(addr, tenant, execStmt string) error {
 	cli, err := server.Dial(addr)
 	if err != nil {
@@ -348,113 +168,99 @@ func remoteShell(addr, tenant, execStmt string) error {
 			return err
 		}
 	}
-
+	b := remote{cli}
 	if execStmt != "" {
-		return runRemote(cli, execStmt)
+		return run(b, os.Stdout, execStmt, false)
 	}
+	fmt.Printf("patchindex shell — connected to %s (session %d)\n%s\n", addr, cli.SessionID(), help)
+	repl(b, os.Stdin, os.Stdout, os.Stderr)
+	return nil
+}
 
-	fmt.Printf("patchindex shell — connected to %s (session %d)\n", addr, cli.SessionID())
-	fmt.Println("statements end with ';', \\q quits, \\stats prints server metrics, \\set KEY VALUE adjusts settings (timeout_ms, max_rows, disable_rewrites, tenant), \\trace on|off, \\queries, \\workload, \\indexes, \\tune [on|off|now|rollback], \\alerts")
-	scanner := bufio.NewScanner(os.Stdin)
+const help = `statements end with ';', \q quits, \stats prints metrics, \trace on|off, \queries, \workload, \indexes, \tune [on|off|now|rollback], \alerts; embedded: \workload on|off, \alerts on|off; remote: \set KEY VALUE (timeout_ms, max_rows, disable_rewrites, parallelism, tenant)`
+
+// macros maps each report command to the SQL statement it runs.
+var macros = map[string]string{
+	`\queries`:       "SHOW QUERIES",
+	`\workload`:      "SHOW WORKLOAD",
+	`\indexes`:       "SHOW PATCHINDEXES",
+	`\alerts`:        "SHOW ALERTS",
+	`\tune`:          "SHOW TUNER",
+	`\tune on`:       "ALTER TUNER START",
+	`\tune off`:      "ALTER TUNER STOP",
+	`\tune now`:      "ALTER TUNER NOW",
+	`\tune rollback`: "ALTER TUNER ROLLBACK",
+}
+
+// backend is where the shell's statements run: the embedded engine or a
+// patchserver session.
+type backend interface {
+	// exec runs one statement, tracing it when trace is set.
+	exec(stmt string, trace bool) (*patchindex.Result, error)
+	// stats returns the metrics registry as text.
+	stats() (string, error)
+}
+
+type embedded struct{ eng *patchindex.Engine }
+
+func (b embedded) exec(stmt string, trace bool) (*patchindex.Result, error) {
+	return b.eng.ExecWith(stmt, patchindex.ExecOptions{Trace: trace})
+}
+
+func (b embedded) stats() (string, error) {
+	var sb strings.Builder
+	err := b.eng.Metrics().WriteText(&sb)
+	return sb.String(), err
+}
+
+type remote struct{ cli *server.Client }
+
+// exec converts the wire result's string cells into a Result, so both
+// backends render through Result.String.
+func (b remote) exec(stmt string, trace bool) (*patchindex.Result, error) {
+	b.cli.Trace(trace)
+	r, err := b.cli.Query(stmt)
+	if err != nil {
+		return nil, err
+	}
+	res := &patchindex.Result{Columns: r.Columns, Message: r.Message, Duration: r.Duration, TraceID: r.TraceID}
+	for _, row := range r.Rows {
+		vals := make([]vector.Value, len(row))
+		for i, cell := range row {
+			vals[i] = vector.StringValue(cell)
+		}
+		res.Rows = append(res.Rows, vals)
+	}
+	if r.Truncated {
+		res.Message = "(truncated to max_rows)"
+	}
+	return res, nil
+}
+
+func (b remote) stats() (string, error) { return b.cli.Stats() }
+
+// repl reads statements and backslash commands from in until EOF or \q.
+// Results go to out, errors to errOut.
+func repl(b backend, in io.Reader, out, errOut io.Writer) {
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
+	trace := false
 	prompt := "sql> "
 	for {
-		fmt.Print(prompt)
+		fmt.Fprint(out, prompt)
 		if !scanner.Scan() {
 			break
 		}
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && (trimmed == "\\q" || trimmed == "quit" || trimmed == "exit") {
+		if buf.Len() == 0 && (trimmed == `\q` || trimmed == "quit" || trimmed == "exit") {
 			break
 		}
-		if buf.Len() == 0 && trimmed == "\\stats" {
-			text, err := cli.Stats()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\set ") {
-			fields := strings.Fields(trimmed)
-			if len(fields) != 3 {
-				fmt.Fprintln(os.Stderr, "usage: \\set KEY VALUE")
-				continue
-			}
-			if err := cli.Set(map[string]string{fields[1]: fields[2]}); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\trace") {
-			if on, err := parseTraceArg(trimmed); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			} else {
-				cli.Trace(on)
-				fmt.Printf("tracing %s\n", onOff(on))
-			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\queries" {
-			res, err := cli.Queries()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(res.String())
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\workload" {
-			text, err := cli.Workload()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\indexes" {
-			text, err := cli.Indexes()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\alerts" {
-			text, err := cli.Alerts()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\tune") {
-			arg := strings.TrimSpace(strings.TrimPrefix(trimmed, "\\tune"))
-			if arg == "" {
-				text, err := cli.Tuner()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					continue
-				}
-				fmt.Print(text)
-				continue
-			}
-			stmt := map[string]string{
-				"on": "ALTER TUNER START", "off": "ALTER TUNER STOP",
-				"now": "ALTER TUNER NOW", "rollback": "ALTER TUNER ROLLBACK",
-			}[arg]
-			if stmt == "" {
-				fmt.Fprintln(os.Stderr, "usage: \\tune [on|off|now|rollback]")
-				continue
-			}
-			if err := runRemote(cli, stmt); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
+			cmd := strings.Join(strings.Fields(trimmed), " ")
+			if err := command(b, out, cmd, &trace); err != nil {
+				fmt.Fprintf(errOut, "error: %v\n", err)
 			}
 			continue
 		}
@@ -464,49 +270,86 @@ func remoteShell(addr, tenant, execStmt string) error {
 			stmt := buf.String()
 			buf.Reset()
 			prompt = "sql> "
-			if err := runRemote(cli, stmt); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			if err := run(b, out, stmt, trace); err != nil {
+				fmt.Fprintf(errOut, "error: %v\n", err)
 			}
 		} else if buf.Len() > 0 {
 			prompt = "...> "
 		}
 	}
-	return nil
 }
 
-// runRemote executes one statement over the wire and prints the result.
-func runRemote(cli *server.Client, stmt string) error {
-	res, err := cli.Query(stmt)
+// command runs one backslash command (whitespace-normalized).
+func command(b backend, out io.Writer, cmd string, trace *bool) error {
+	if stmt, ok := macros[cmd]; ok {
+		return run(b, out, stmt, *trace)
+	}
+	fields := strings.Fields(cmd)
+	switch cmd {
+	case `\stats`:
+		text, err := b.stats()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, text)
+		return nil
+	case `\trace on`, `\trace off`:
+		*trace = fields[1] == "on"
+		fmt.Fprintf(out, "tracing %s\n", fields[1])
+		return nil
+	case `\workload on`, `\workload off`, `\alerts on`, `\alerts off`:
+		e, ok := b.(embedded)
+		if !ok {
+			return fmt.Errorf("%s works only in the embedded shell", cmd)
+		}
+		on := fields[1] == "on"
+		if fields[0] == `\workload` {
+			e.eng.Profiler().SetEnabled(on)
+			fmt.Fprintf(out, "workload profiling %s\n", fields[1])
+		} else {
+			if on {
+				e.eng.Monitor().Start()
+			} else {
+				e.eng.Monitor().Stop()
+			}
+			fmt.Fprintf(out, "health watchdog %s\n", fields[1])
+		}
+		return nil
+	}
+	if fields[0] == `\set` {
+		r, ok := b.(remote)
+		if !ok {
+			return fmt.Errorf(`\set works only with -connect`)
+		}
+		if len(fields) != 3 {
+			return fmt.Errorf(`usage: \set KEY VALUE`)
+		}
+		return r.cli.Set(map[string]string{fields[1]: fields[2]})
+	}
+	return fmt.Errorf("unknown command %s", cmd)
+}
+
+// run executes one statement and prints its result, any note a result
+// with columns carries in Message (a remote result clipped by max_rows),
+// then a "-- <duration>" footer that names the trace id when the statement
+// was traced.
+func run(b backend, out io.Writer, stmt string, trace bool) error {
+	res, err := b.exec(stmt, trace)
 	if err != nil {
 		return err
 	}
 	s := res.String()
-	fmt.Print(s)
+	fmt.Fprint(out, s)
 	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
+		fmt.Fprintln(out)
+	}
+	if len(res.Columns) > 0 && res.Message != "" {
+		fmt.Fprintln(out, res.Message)
 	}
 	if res.TraceID != 0 {
-		fmt.Printf("-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
+		fmt.Fprintf(out, "-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
 	} else {
-		fmt.Printf("-- %s\n", res.Duration.Round(time.Microsecond))
-	}
-	return nil
-}
-
-func runStatement(eng *patchindex.Engine, stmt string, trace bool) error {
-	res, err := eng.ExecWith(stmt, patchindex.ExecOptions{Trace: trace})
-	if err != nil {
-		return err
-	}
-	s := res.String()
-	fmt.Print(s)
-	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
-	}
-	if res.TraceID != 0 {
-		fmt.Printf("-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
-	} else {
-		fmt.Printf("-- %s\n", res.Duration.Round(time.Microsecond))
+		fmt.Fprintf(out, "-- %s\n", res.Duration.Round(time.Microsecond))
 	}
 	return nil
 }

@@ -629,7 +629,7 @@ func (e *Engine) acquireLatches(reads, writes []string) func() {
 
 // stmtTables classifies the tables a statement reads and writes. SHOW and
 // CREATE TABLE need no latches: they only touch the internally-synchronized
-// catalog (SHOW latches per table while rendering).
+// catalog (SHOW TABLES latches per table while rendering).
 func stmtTables(stmt sql.Statement) (reads, writes []string) {
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:
@@ -1368,34 +1368,63 @@ func (e *Engine) runShow(s *sql.ShowStmt) (*Result, error) {
 		}
 		return res, nil
 	case "patchindexes":
-		// Indexes() is sorted by (table, column, constraint), so the output
-		// is deterministic and diffable; each index's table is latched shared
-		// while its row is rendered. origin distinguishes manual from
+		// IndexHealth is sorted by (table, column, constraint), so the output
+		// is deterministic and diffable. origin distinguishes manual from
 		// tuner-created indexes; benefit is the decayed cost-saved from the
-		// workload observatory (0 when profiling is off or never used).
-		res := &Result{Columns: []string{"table", "column", "constraint", "kind", "patches", "rate", "bytes", "origin", "benefit", "last_used_tick"}}
-		tick := e.profiler.Tick()
-		for _, ix := range e.cat.Indexes() {
-			release := e.acquireLatches([]string{ix.Table()}, nil)
-			var benefit float64
-			var lastUsed int64
-			if b, ok := e.profiler.Benefit().Lookup(ix.Table(), ix.Column(), constraintTag(ix.Constraint()), tick); ok {
-				benefit = b.CostSaved
-				lastUsed = b.LastUsedTick
-			}
+		// workload observatory (0 when profiling is off or never used);
+		// representation is what the partitions currently use and
+		// utilization the patch ratio over the bitmap crossover.
+		res := &Result{Columns: []string{"table", "column", "constraint", "kind", "patches", "rate", "bytes", "origin", "benefit", "last_used_tick", "representation", "utilization"}}
+		for _, h := range e.IndexHealth() {
 			res.Rows = append(res.Rows, []vector.Value{
-				vector.StringValue(ix.Table()),
-				vector.StringValue(ix.Column()),
-				vector.StringValue(ix.Constraint().String()),
-				vector.StringValue(ix.RequestedKind().String()),
-				vector.IntValue(int64(ix.Cardinality())),
-				vector.FloatValue(ix.ExceptionRate()),
-				vector.IntValue(int64(ix.MemoryBytes())),
-				vector.StringValue(ix.Origin()),
-				vector.FloatValue(benefit),
-				vector.IntValue(lastUsed),
+				vector.StringValue(h.Table),
+				vector.StringValue(h.Column),
+				vector.StringValue(h.Constraint),
+				vector.StringValue(h.RequestedKind),
+				vector.IntValue(int64(h.Patches)),
+				vector.FloatValue(h.PatchRatio),
+				vector.IntValue(int64(h.MemoryBytes)),
+				vector.StringValue(h.Origin),
+				vector.FloatValue(h.CostSaved),
+				vector.IntValue(h.LastUsedTick),
+				vector.StringValue(h.Kinds),
+				vector.FloatValue(h.ThresholdUtilization),
 			})
-			release()
+		}
+		return res, nil
+	case "queries":
+		// The tracer's ring, newest first: the /queries document as rows.
+		res := &Result{Columns: []string{"trace_id", "session", "duration", "rows", "patch_hits", "sampled", "error", "sql"}}
+		for _, t := range e.tracer.Recent(50) {
+			res.Rows = append(res.Rows, []vector.Value{
+				vector.IntValue(int64(t.ID)),
+				vector.IntValue(int64(t.SessionID)),
+				vector.StringValue(t.Duration.Round(time.Microsecond).String()),
+				vector.IntValue(t.Rows),
+				vector.IntValue(t.PatchHits),
+				vector.BoolValue(t.Sampled),
+				vector.StringValue(t.Error),
+				vector.StringValue(strings.Join(strings.Fields(t.SQL), " ")),
+			})
+		}
+		return res, nil
+	case "workload":
+		// The profiler's fingerprints, heaviest total time first: the
+		// statements of the /workload document as rows.
+		res := &Result{Columns: []string{"fingerprint", "calls", "errors", "rows", "total", "ewma", "patch_hits", "partitions_pruned", "shadow_savings", "sql"}}
+		for _, st := range e.profiler.Snapshot().Statements {
+			res.Rows = append(res.Rows, []vector.Value{
+				vector.StringValue(st.Fingerprint),
+				vector.IntValue(st.Count),
+				vector.IntValue(st.Errors),
+				vector.IntValue(st.RowsOut),
+				vector.StringValue(time.Duration(st.TotalNanos).Round(time.Microsecond).String()),
+				vector.StringValue(time.Duration(st.EWMANanos).Round(time.Microsecond).String()),
+				vector.IntValue(st.PatchHits),
+				vector.IntValue(st.PartitionsPruned),
+				vector.FloatValue(st.ShadowSavings),
+				vector.StringValue(st.SQL),
+			})
 		}
 		return res, nil
 	case "tuner":
@@ -1412,8 +1441,8 @@ func (e *Engine) runShow(s *sql.ShowStmt) (*Result, error) {
 // IndexHealth is the health report of one PatchIndex: how many exceptions
 // it carries, how close its patch ratio is to the 1/64 bitmap/identifier
 // crossover of Section V, which physical representation its partitions
-// currently use, and its memory footprint. The server embeds it in /stats
-// so index degradation is visible without running SQL.
+// currently use, and its memory footprint. SHOW PATCHINDEXES renders it;
+// the server embeds it in /stats and /indexes.
 type IndexHealth struct {
 	Table      string `json:"table"`
 	Column     string `json:"column"`
@@ -1423,8 +1452,10 @@ type IndexHealth struct {
 	// "bitmap", or "mixed").
 	RequestedKind string `json:"requested_kind"`
 	Kinds         string `json:"kinds"`
-	Patches       int    `json:"patches"`
-	Rows          int    `json:"rows"`
+	// Origin is "manual" for CREATE PATCHINDEX and "auto" for the tuner.
+	Origin  string `json:"origin"`
+	Patches int    `json:"patches"`
+	Rows    int    `json:"rows"`
 	// PatchRatio is |P_c|/|R|; BitmapThreshold is the 1/64 crossover at
 	// which the bitmap representation becomes cheaper; ThresholdUtilization
 	// is their ratio (>= 1 means the index is past the crossover).
@@ -1463,16 +1494,13 @@ func (e *Engine) IndexHealth() []IndexHealth {
 			Column:          ix.Column(),
 			Constraint:      ix.Constraint().String(),
 			RequestedKind:   ix.RequestedKind().String(),
+			Origin:          ix.Origin(),
 			Patches:         ix.Cardinality(),
 			Rows:            ix.NumRows(),
 			BitmapThreshold: patch.CrossoverRate,
 			MemoryBytes:     ix.MemoryBytes(),
 		}
-		tag := "nuc"
-		if ix.Constraint() == patch.NearlySorted {
-			tag = "nsc"
-		}
-		if b, ok := e.profiler.Benefit().Lookup(ix.Table(), ix.Column(), tag, tick); ok {
+		if b, ok := e.profiler.Benefit().Lookup(ix.Table(), ix.Column(), constraintTag(ix.Constraint()), tick); ok {
 			h.Rewrites = b.Rewrites
 			h.RowsSkipped = b.RowsSkipped
 			h.CostSaved = b.CostSaved

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -195,7 +196,9 @@ func TestQueriesAndTraceHandlers(t *testing.T) {
 	at.EndSpan(0)
 	trace := at.Finish(1, nil)
 
-	mux := Handler(NewRegistry(), tr)
+	mux := http.NewServeMux()
+	mux.Handle("/queries", QueriesHandler(tr))
+	mux.Handle("/trace/", TraceHandler(tr))
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/queries", nil))

@@ -37,18 +37,44 @@ func monitoredServer(t *testing.T) *Server {
 	return s
 }
 
+// TestClientAlerts checks that a remote client reading alerts through SQL
+// sees the same alerts as the /alerts JSON document.
 func TestClientAlerts(t *testing.T) {
 	s := monitoredServer(t)
 	c := dial(t, s)
-	text, err := c.Alerts()
+	res, err := c.Query("SHOW ALERTS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(text, "alerts:") {
-		t.Fatalf("Alerts() = %q, want the text report", text)
+	code, body, err := httpGet(s, "/alerts")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET /alerts: code=%d err=%v", code, err)
 	}
-	if !strings.Contains(text, "patch_ratio_drift") || !strings.Contains(text, "index.emp.s.nsc.patch_ratio") {
-		t.Fatalf("alert report missing the firing drift alert:\n%s", text)
+	var doc struct {
+		Alerts []obs.Alert `json:"alerts"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/alerts is not JSON: %v\n%s", err, body)
+	}
+	if len(res.Rows) != len(doc.Alerts) {
+		t.Fatalf("SHOW ALERTS has %d rows, /alerts has %d alerts:\n%v\n%s", len(res.Rows), len(doc.Alerts), res.Rows, body)
+	}
+	want := make(map[string]bool, len(doc.Alerts))
+	for _, al := range doc.Alerts {
+		want[strings.Join([]string{al.Rule, al.Metric, al.Severity, al.State}, "|")] = true
+	}
+	drift := false
+	for _, row := range res.Rows {
+		key := strings.Join(row[:4], "|")
+		if !want[key] {
+			t.Fatalf("SHOW ALERTS row %v not in /alerts: %s", row, body)
+		}
+		if row[0] == "patch_ratio_drift" && row[1] == "index.emp.s.nsc.patch_ratio" && row[3] == obs.StateFiring {
+			drift = true
+		}
+	}
+	if !drift {
+		t.Fatalf("client sees no firing drift alert on index.emp.s.nsc.patch_ratio: %v", res.Rows)
 	}
 }
 
@@ -77,11 +103,6 @@ func TestHTTPAlertsEndpoint(t *testing.T) {
 	}
 	if len(doc.History) == 0 {
 		t.Fatalf("/alerts history empty: %s", body)
-	}
-
-	code, body, err = httpGet(s, "/alerts?format=text")
-	if err != nil || code != http.StatusOK || !strings.HasPrefix(body, "alerts:") {
-		t.Fatalf("GET /alerts?format=text: code=%d err=%v body=%q", code, err, body)
 	}
 }
 
@@ -139,12 +160,12 @@ func TestShowAlertsOverWire(t *testing.T) {
 	}
 	found := false
 	for _, row := range res.Rows {
-		if row[0] == "patch_ratio_drift" {
+		if row[0] == "patch_ratio_drift" && row[1] == "index.emp.s.nsc.patch_ratio" && row[3] == obs.StateFiring {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("SHOW ALERTS rows missing drift alert: %v", res.Rows)
+		t.Fatalf("SHOW ALERTS rows missing the firing drift alert on index.emp.s.nsc.patch_ratio: %v", res.Rows)
 	}
 }
 

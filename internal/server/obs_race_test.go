@@ -168,6 +168,48 @@ func TestObservabilityEndpointsUnderLoad(t *testing.T) {
 }
 
 // httpGet fetches one HTTP path from the test server.
+// TestShowQueriesOverWire: SHOW QUERIES over the wire lists the same
+// traces, newest first, as the /queries JSON document.
+func TestShowQueriesOverWire(t *testing.T) {
+	s := startServer(t, Config{})
+	c := dial(t, s)
+	c.Trace(true)
+	for _, q := range []string{"CREATE TABLE q (v BIGINT)", "INSERT INTO q VALUES (1), (2)", "SELECT v FROM q ORDER BY v"} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Untraced, so SHOW QUERIES itself does not enter the history.
+	c.Trace(false)
+	res, err := c.Query("SHOW QUERIES")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Columns) == 0 || res.Columns[0] != "trace_id" {
+		t.Fatalf("SHOW QUERIES columns = %v", res.Columns)
+	}
+	var wire []string
+	for _, row := range res.Rows {
+		wire = append(wire, row[0])
+	}
+
+	code, body, err := httpGet(s, "/queries")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET /queries: code=%d err=%v", code, err)
+	}
+	var doc []obs.QuerySummary
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/queries is not JSON: %v\n%s", err, body)
+	}
+	var js []string
+	for _, q := range doc {
+		js = append(js, fmt.Sprint(q.ID))
+	}
+	if len(wire) != 3 || strings.Join(wire, ",") != strings.Join(js, ",") {
+		t.Fatalf("SHOW QUERIES trace ids %v, /queries ids %v (want 3 each)", wire, js)
+	}
+}
+
 func httpGet(s *Server, path string) (int, string, error) {
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + s.Addr() + path)

@@ -4,6 +4,10 @@
 // messages — a 4-byte big-endian payload length followed by one JSON
 // document. The protocol is request/response with one extension: a client
 // may send a "cancel" request while a query is in flight to abort it.
+//
+// There are six request types: query, set, ping, cancel, stats and close.
+// Reports (SHOW QUERIES, SHOW WORKLOAD, SHOW PATCHINDEXES, SHOW TUNER,
+// SHOW ALERTS) are ordinary statements sent as query requests.
 package protocol
 
 import (
@@ -34,19 +38,6 @@ const (
 	TypeCancel = "cancel"
 	// TypeStats returns the server's metric registry as text.
 	TypeStats = "stats"
-	// TypeQueries returns the recent query history (the tracer's ring) as a
-	// result set.
-	TypeQueries = "queries"
-	// TypeWorkload returns the workload observatory's top-N text report
-	// (fingerprint aggregates, column accesses, shadow accounting).
-	TypeWorkload = "workload"
-	// TypeIndexes returns per-index health and benefit attribution as text.
-	TypeIndexes = "indexes"
-	// TypeTuner returns the self-tuner's status and journal as text.
-	TypeTuner = "tuner"
-	// TypeAlerts returns the health watchdog's alert standings and recent
-	// transition history as text.
-	TypeAlerts = "alerts"
 	// TypeClose ends the session gracefully.
 	TypeClose = "close"
 )
@@ -82,7 +73,7 @@ type Request struct {
 	CancelID uint64 `json:"cancel_id,omitempty"`
 	// Trace, for TypeQuery, forces a full trace (span tree) of this
 	// statement; the trace id comes back in Response.TraceID and the
-	// profile is retrievable via TypeQueries or HTTP /trace/<id>.
+	// profile is listed by SHOW QUERIES and served by HTTP /trace/<id>.
 	Trace bool `json:"trace,omitempty"`
 	// Tenant identifies the session's QoS tenant. It may ride any request
 	// (typically the first one a client sends) and moves the session to

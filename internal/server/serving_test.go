@@ -240,8 +240,8 @@ func TestServingStatsEndpoint(t *testing.T) {
 		}
 	}
 	snap := eng.Metrics().Snapshot()
-	if snap.Counters["serving.result_cache.hits"] < 2 {
-		t.Fatalf("result cache hits = %d", snap.Counters["serving.result_cache.hits"])
+	if snap.Counters["serving_result_cache_hits_total"] < 2 {
+		t.Fatalf("result cache hits = %d", snap.Counters["serving_result_cache_hits_total"])
 	}
 	st := eng.ServingStats()
 	if !st.ResultCache.Enabled || st.ResultCache.Entries == 0 {

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,30 +69,29 @@ func TestTunerStressMixedWorkload(t *testing.T) {
 					return
 				}
 			}
-			// One client exercises the wire-protocol tuner status.
+			// One client checks SHOW TUNER's rows over the wire.
 			if n == 0 {
-				if txt, err := c.Tuner(); err != nil || !strings.Contains(txt, "tuner:") {
-					t.Errorf("wire tuner status: %q, %v", txt, err)
+				res, err := c.Query("SHOW TUNER")
+				if err != nil || len(res.Rows) == 0 || res.Rows[0][0] != "running" {
+					t.Errorf("SHOW TUNER over the wire: %+v, %v", res, err)
 				}
 			}
 		}(i)
 	}
 
-	// HTTP probes hammer /tuner (JSON and text) concurrently with the cycles.
+	// HTTP probes hammer /tuner concurrently with the cycles.
 	probeErrs := make(chan error, 16)
 	var probes sync.WaitGroup
 	probes.Add(1)
 	go func() {
 		defer probes.Done()
 		for !stop.Load() {
-			for _, path := range []string{"/tuner", "/tuner?format=text"} {
-				if code, _, err := httpGet(s, path); err != nil || code != http.StatusOK {
-					select {
-					case probeErrs <- err:
-					default:
-					}
-					return
+			if code, _, err := httpGet(s, "/tuner"); err != nil || code != http.StatusOK {
+				select {
+				case probeErrs <- err:
+				default:
 				}
+				return
 			}
 		}
 	}()
@@ -113,8 +112,12 @@ func TestTunerStressMixedWorkload(t *testing.T) {
 	if st.Cycles == 0 {
 		t.Fatalf("background tuner never cycled: %+v", st)
 	}
-	code, body, err := httpGet(s, "/tuner?format=text")
-	if err != nil || code != http.StatusOK || !strings.Contains(body, "tuner:") {
-		t.Fatalf("/tuner?format=text = %d, %v\n%s", code, err, body)
+	code, body, err := httpGet(s, "/tuner")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("/tuner = %d, %v\n%s", code, err, body)
+	}
+	var doc tuning.Status
+	if err := json.Unmarshal([]byte(body), &doc); err != nil || doc.Cycles == 0 {
+		t.Fatalf("/tuner JSON: cycles=%d, %v\n%s", doc.Cycles, err, body)
 	}
 }

@@ -72,13 +72,13 @@ func NewResultCache(budgetBytes int64, reg *obs.Registry) *ResultCache {
 		lru:       list.New(),
 		perTenant: make(map[string]int64),
 		tenantCap: make(map[string]int64),
-		hits:      reg.Counter("serving.result_cache.hits"),
-		misses:    reg.Counter("serving.result_cache.misses"),
-		evictions: reg.Counter("serving.result_cache.evictions"),
-		stale:     reg.Counter("serving.result_cache.stale_evictions"),
-		bypass:    reg.Counter("serving.result_cache.bypass"),
-		bytes:     reg.Gauge("serving.result_cache.bytes"),
-		entries:   reg.Gauge("serving.result_cache.entries"),
+		hits:      reg.Counter("serving_result_cache_hits_total"),
+		misses:    reg.Counter("serving_result_cache_misses_total"),
+		evictions: reg.Counter("serving_result_cache_evictions_total"),
+		stale:     reg.Counter("serving_result_cache_stale_evictions_total"),
+		bypass:    reg.Counter("serving_result_cache_bypass_total"),
+		bytes:     reg.Gauge("serving_result_cache_bytes"),
+		entries:   reg.Gauge("serving_result_cache_entries"),
 	}
 }
 

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,5 +201,27 @@ func TestQoSMetricsRegistered(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["tenant.acme.in_flight"]; !ok {
 		t.Fatal("tenant.acme.in_flight gauge missing")
+	}
+}
+
+// TestResultCacheMetricNamesValid: every metric the result cache registers
+// is a valid Prometheus name, and every counter ends in _total.
+func TestResultCacheMetricNamesValid(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewResultCache(0, reg)
+	snap := reg.Snapshot()
+	valid := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	if len(snap.Counters) == 0 || len(snap.Gauges) == 0 {
+		t.Fatalf("no result-cache metrics registered: %+v", snap)
+	}
+	for name := range snap.Counters {
+		if !valid.MatchString(name) || !strings.HasSuffix(name, "_total") {
+			t.Errorf("counter %q: want a Prometheus name ending in _total", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if !valid.MatchString(name) {
+			t.Errorf("gauge %q: not a valid Prometheus name", name)
+		}
 	}
 }

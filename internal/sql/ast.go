@@ -123,8 +123,9 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// ShowStmt is SHOW TABLES, SHOW PATCHINDEXES, SHOW TUNER, SHOW ALERTS, or
-// SHOW TIMESERIES FOR <metric> (Arg carries the metric name).
+// ShowStmt is SHOW TABLES, SHOW PATCHINDEXES, SHOW TUNER, SHOW ALERTS,
+// SHOW QUERIES, SHOW WORKLOAD, or SHOW TIMESERIES FOR <metric> (Arg carries
+// the metric name).
 type ShowStmt struct {
 	What string
 	Arg  string

@@ -176,6 +176,10 @@ func (p *Parser) parseStatement() (Statement, error) {
 			return &ShowStmt{What: "tuner"}, nil
 		case p.acceptIdentWord("alerts"):
 			return &ShowStmt{What: "alerts"}, nil
+		case p.acceptIdentWord("queries"):
+			return &ShowStmt{What: "queries"}, nil
+		case p.acceptIdentWord("workload"):
+			return &ShowStmt{What: "workload"}, nil
 		case p.acceptIdentWord("timeseries"):
 			// FOR is not a reserved word, so it arrives as an identifier.
 			if !p.acceptIdentWord("for") {
@@ -187,7 +191,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 			}
 			return &ShowStmt{What: "timeseries", Arg: metric}, nil
 		default:
-			return nil, p.errorf("expected TABLES, PATCHINDEXES, TUNER, ALERTS or TIMESERIES after SHOW")
+			return nil, p.errorf("expected TABLES, PATCHINDEXES, TUNER, ALERTS, QUERIES, WORKLOAD or TIMESERIES after SHOW")
 		}
 	case t.Kind == TokKeyword && t.Text == "ALTER":
 		return p.parseAlter()

@@ -255,6 +255,14 @@ func TestParseDropAndShow(t *testing.T) {
 	if _, err := Parse("SHOW PATCHINDEXES"); err != nil {
 		t.Error(err)
 	}
+	for q, want := range map[string]string{"SHOW QUERIES": "queries", "SHOW WORKLOAD;": "workload"} {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+		} else if sh, ok := stmt.(*ShowStmt); !ok || sh.What != want {
+			t.Errorf("%s = %+v, want What %q", q, stmt, want)
+		}
+	}
 	if _, err := Parse("SHOW NONSENSE"); err == nil {
 		t.Error("unknown SHOW must fail")
 	}

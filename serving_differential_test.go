@@ -129,7 +129,7 @@ func TestDifferentialCachedVsFresh(t *testing.T) {
 			}
 			// The hot passes must actually have been served by the cache.
 			snap := cached.Metrics().Snapshot()
-			if snap.Counters["serving.result_cache.hits"] == 0 {
+			if snap.Counters["serving_result_cache_hits_total"] == 0 {
 				t.Fatal("differential run never hit the result cache")
 			}
 		})

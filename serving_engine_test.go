@@ -90,7 +90,7 @@ func TestResultCacheInvalidatesOnAppend(t *testing.T) {
 		t.Fatalf("count = %v", res.Rows[0][0])
 	}
 	mustExec(t, e, q) // populate + hit
-	if hits := counter(e, "serving.result_cache.hits"); hits != 1 {
+	if hits := counter(e, "serving_result_cache_hits_total"); hits != 1 {
 		t.Fatalf("result cache hits = %d, want 1", hits)
 	}
 	u := vector.NewFromInt64([]int64{100000})
@@ -104,7 +104,7 @@ func TestResultCacheInvalidatesOnAppend(t *testing.T) {
 	if res.Rows[0][0].I64 != 1001 {
 		t.Fatalf("stale result served after append: %v", res.Rows[0][0])
 	}
-	if stale := counter(e, "serving.result_cache.stale_evictions"); stale != 1 {
+	if stale := counter(e, "serving_result_cache_stale_evictions_total"); stale != 1 {
 		t.Fatalf("stale evictions = %d, want 1", stale)
 	}
 }
@@ -117,7 +117,7 @@ func TestResultCacheSkipsNondeterministicOrder(t *testing.T) {
 	q := "SELECT u FROM data WHERE s < 50"
 	mustExec(t, e, q)
 	mustExec(t, e, q)
-	if hits := counter(e, "serving.result_cache.hits"); hits != 0 {
+	if hits := counter(e, "serving_result_cache_hits_total"); hits != 0 {
 		t.Fatalf("unordered scan must not be result-cached (hits=%d)", hits)
 	}
 	// An ORDER BY variant is deterministic and caches.
@@ -127,7 +127,7 @@ func TestResultCacheSkipsNondeterministicOrder(t *testing.T) {
 	if a != b {
 		t.Fatalf("cached ordered result differs: %s vs %s", b, a)
 	}
-	if hits := counter(e, "serving.result_cache.hits"); hits != 1 {
+	if hits := counter(e, "serving_result_cache_hits_total"); hits != 1 {
 		t.Fatalf("ordered scan should result-cache (hits=%d)", hits)
 	}
 }
@@ -142,7 +142,7 @@ func TestServingDisabledByDefault(t *testing.T) {
 	mustExec(t, e, "SELECT COUNT(*) FROM kv")
 	snap := e.Metrics().Snapshot()
 	for _, name := range []string{
-		"serving.result_cache.hits", "serving.result_cache.misses",
+		"serving_result_cache_hits_total", "serving_result_cache_misses_total",
 	} {
 		if snap.Counters[name] != 0 {
 			t.Fatalf("%s = %d on a disabled cache", name, snap.Counters[name])

@@ -162,7 +162,7 @@ func TestShowPatchindexesOriginBenefitColumns(t *testing.T) {
 	mustExec(t, e, "CREATE PATCHINDEX ON data(u) UNIQUE THRESHOLD 0.5")
 
 	res := mustExec(t, e, "SHOW PATCHINDEXES")
-	want := []string{"table", "column", "constraint", "kind", "patches", "rate", "bytes", "origin", "benefit", "last_used_tick"}
+	want := []string{"table", "column", "constraint", "kind", "patches", "rate", "bytes", "origin", "benefit", "last_used_tick", "representation", "utilization"}
 	if strings.Join(res.Columns, ",") != strings.Join(want, ",") {
 		t.Fatalf("SHOW PATCHINDEXES columns = %v, want %v", res.Columns, want)
 	}

@@ -136,6 +136,38 @@ func TestWorkloadFixtureAgreement(t *testing.T) {
 	if !found {
 		t.Fatal("no IndexHealth entry for data.s")
 	}
+
+	// SHOW WORKLOAD is the snapshot's statements as rows, in the same order.
+	// A statement is recorded after it runs, so a snapshot taken just before
+	// SHOW WORKLOAD is the one it renders.
+	stmts := e.Profiler().Snapshot().Statements
+	res = mustExec(t, e, "SHOW WORKLOAD")
+	if len(res.Rows) != len(stmts) {
+		t.Fatalf("SHOW WORKLOAD has %d rows, snapshot %d statements", len(res.Rows), len(stmts))
+	}
+	for i, st := range stmts {
+		row := res.Rows[i]
+		if row[0].Str != st.Fingerprint || row[1].I64 != st.Count || row[3].I64 != st.RowsOut {
+			t.Fatalf("SHOW WORKLOAD row %d = %v, snapshot %+v", i, row, st)
+		}
+	}
+
+	// SHOW PATCHINDEXES renders IndexHealth.
+	health := e.IndexHealth()
+	res = mustExec(t, e, "SHOW PATCHINDEXES")
+	if len(res.Rows) != len(health) {
+		t.Fatalf("SHOW PATCHINDEXES has %d rows, IndexHealth %d", len(res.Rows), len(health))
+	}
+	for i, h := range health {
+		want := fmt.Sprintln(h.Table, h.Column, h.Constraint, h.RequestedKind, h.Patches, h.PatchRatio,
+			h.MemoryBytes, h.Origin, h.CostSaved, h.LastUsedTick, h.Kinds, h.ThresholdUtilization)
+		row := res.Rows[i]
+		got := fmt.Sprintln(row[0].Str, row[1].Str, row[2].Str, row[3].Str, row[4].I64, row[5].F64,
+			row[6].I64, row[7].Str, row[8].F64, row[9].I64, row[10].Str, row[11].F64)
+		if got != want {
+			t.Fatalf("SHOW PATCHINDEXES row %d = %sIndexHealth %s", i, got, want)
+		}
+	}
 }
 
 // TestIndexBenefitLastUsedTickMonotonic: last-used is an engine-relative
