@@ -63,7 +63,7 @@ func main() {
 	tune := flag.Bool("tune", false, "start the background self-tuner (implies -workload)")
 	tuneIntervalMS := flag.Int("tune-interval-ms", 0, "self-tuner cycle period in milliseconds (0 = default)")
 	connect := flag.String("connect", "", "connect to a patchserver at host:port instead of running an embedded engine")
-	tenant := flag.String("tenant", "", "QoS tenant for the remote session (with -connect; also `\\set tenant ID` at runtime)")
+	tenant := flag.String("tenant", "", "QoS tenant for the remote session (with -connect; also `\\set tenant ID` at runtime); ids the server does not list share its default tenant's in-flight cap")
 	flag.Parse()
 
 	if *connect != "" {

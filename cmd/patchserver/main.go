@@ -22,14 +22,18 @@
 // shutdown that drains in-flight queries for up to -grace seconds.
 //
 // The serving fast path caches, opt-in, read-only query results keyed on
-// per-table versions (-result-cache, -result-cache-mb). Per-tenant QoS
-// (token-bucket rate limits, in-flight caps, priority-aware shedding)
-// activates when any
-// -qos-* flag or a -tenants JSON file is given; sessions pick their tenant
-// with `\set tenant` or the wire protocol's tenant field, and per-tenant
-// shed/admitted/in-flight counters surface under /metrics and /stats:
+// per-table versions (-result-cache, -result-cache-mb). Per-tenant QoS caps
+// each tenant's in-flight queries; it activates when -qos-inflight or a
+// -tenants JSON file is given. Sessions pick their tenant with
+// `\set tenant` or the wire protocol's tenant field. Tenants listed in
+// -tenants get their own cap; every other id shares the "default" tenant's
+// pool, capped by -qos-inflight. Per-tenant shed/admitted/in-flight
+// counters surface under /metrics and /stats:
 //
-//	patchserver -listen :5433 -result-cache -qos-rate 100 -tenants tenants.json
+//	patchserver -listen :5433 -result-cache -qos-inflight 4 -tenants tenants.json
+//
+// where tenants.json maps tenant id to limits, e.g.
+// {"batch": {"max_in_flight": 1}}; unknown fields are a startup error.
 //
 // Durability: -data-dir stores compressed column segments, a catalog
 // manifest, the checkpointed patch sets and the WAL in one directory, and a
@@ -43,7 +47,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -89,11 +92,8 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	resultCache := flag.Bool("result-cache", false, "cache read-only deterministic-order results keyed on table versions")
 	resultCacheMB := flag.Int("result-cache-mb", 0, "result cache byte budget in MB (0 = default 32)")
-	qosRate := flag.Float64("qos-rate", 0, "default per-tenant statement rate limit per second (0 = unlimited)")
-	qosBurst := flag.Float64("qos-burst", 0, "default per-tenant token-bucket burst (0 = max(rate, 1))")
-	qosInFlight := flag.Int("qos-inflight", 0, "default per-tenant in-flight query cap (0 = unlimited)")
-	qosPriority := flag.String("qos-priority", "", "default tenant priority: low, normal, or high")
-	tenantsFile := flag.String("tenants", "", "JSON file mapping tenant id -> QoS limits (rate_per_sec, burst, max_in_flight, priority, result_cache_bytes)")
+	qosInFlight := flag.Int("qos-inflight", 0, "in-flight query cap shared by all tenants not listed in -tenants (0 = unlimited)")
+	tenantsFile := flag.String("tenants", "", "JSON file mapping tenant id -> QoS limits ({\"max_in_flight\": N})")
 	flag.Parse()
 
 	var rules []obs.Rule
@@ -129,23 +129,18 @@ func main() {
 	defer eng.Close()
 
 	var qos *serving.QoS
-	overrides := map[string]serving.TenantLimits{}
+	var overrides map[string]serving.TenantLimits
 	if *tenantsFile != "" {
 		data, err := os.ReadFile(*tenantsFile)
 		if err != nil {
 			fatal(err)
 		}
-		if err := json.Unmarshal(data, &overrides); err != nil {
-			fatal(fmt.Errorf("parsing -tenants %s: %w", *tenantsFile, err))
+		if overrides, err = serving.ParseTenants(data); err != nil {
+			fatal(fmt.Errorf("-tenants %s: %w", *tenantsFile, err))
 		}
 	}
-	if *qosRate > 0 || *qosBurst > 0 || *qosInFlight > 0 || *qosPriority != "" || len(overrides) > 0 {
-		qos = serving.NewQoS(serving.TenantLimits{
-			RatePerSec:  *qosRate,
-			Burst:       *qosBurst,
-			MaxInFlight: *qosInFlight,
-			Priority:    *qosPriority,
-		}, overrides, eng.Metrics())
+	if *qosInFlight > 0 || *tenantsFile != "" {
+		qos = serving.NewQoS(serving.TenantLimits{MaxInFlight: *qosInFlight}, overrides, eng.Metrics())
 	}
 
 	if err := loadDemo(eng, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {

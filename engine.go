@@ -170,10 +170,6 @@ type ExecOptions struct {
 	// DisableKernels runs this statement with interpreted expression
 	// evaluation instead of compiled vectorized kernels.
 	DisableKernels bool
-	// Tenant attributes this statement to a serving tenant: the result
-	// cache charges cached bytes against the tenant's budget and slow-query
-	// log lines carry the id. Empty means the default tenant.
-	Tenant string
 }
 
 // Engine is a self-contained database instance.
@@ -913,7 +909,7 @@ func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt,
 	}
 	res := &Result{Columns: cols, Rows: rows}
 	if stamp.ok {
-		e.storeCachedResult(query, stamp, opts.Tenant, res)
+		e.storeCachedResult(query, stamp, res)
 	}
 	return res, nil
 }

@@ -124,8 +124,9 @@ func (r Rule) resolveAfter() int {
 //     reached 2x its trailing baseline.
 //   - admission_pressure: the server is shedding queries (queue full).
 //   - queue_depth: the admission queue is persistently deep.
-//   - tenant_shed_rate: a QoS tenant is being shed (rate limit or
-//     in-flight cap) at a sustained rate — its limits need a review.
+//   - tenant_shed_rate: a QoS tenant is being shed (its in-flight cap or
+//     the full admission queue) at a sustained rate — its cap needs a
+//     review.
 //   - cache_thrash: the storage cache is evicting payloads at a sustained
 //     rate — the working set exceeds the byte budget and scans are paying
 //     repeated decode faults; the budget needs a raise (or the workload a

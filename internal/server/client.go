@@ -38,7 +38,7 @@ type ClientResult struct {
 
 // ServerError is an error response from the server. It unwraps to the
 // matching sentinel (context.DeadlineExceeded, context.Canceled,
-// ErrServerBusy, serving.ErrThrottled) so callers can use errors.Is on the
+// ErrServerBusy, serving.ErrTenantBusy) so callers can use errors.Is on the
 // code.
 type ServerError struct {
 	Msg  string
@@ -58,7 +58,7 @@ func (e *ServerError) Unwrap() error {
 	case protocol.CodeBusy:
 		return ErrServerBusy
 	case protocol.CodeThrottled:
-		return serving.ErrThrottled
+		return serving.ErrTenantBusy
 	case protocol.CodeShutdown:
 		return errShuttingDown
 	}

@@ -46,8 +46,8 @@ const (
 const (
 	// CodeBusy: the admission queue was full and the query was shed.
 	CodeBusy = "busy"
-	// CodeThrottled: the session's tenant exceeded its QoS rate limit or
-	// in-flight cap and the query was shed before queueing.
+	// CodeThrottled: the session's tenant was at its QoS in-flight cap and
+	// the query was shed before queueing.
 	CodeThrottled = "throttled"
 	// CodeTimeout: the session's timeout_ms elapsed mid-execution.
 	CodeTimeout = "timeout"
@@ -78,8 +78,9 @@ type Request struct {
 	// Tenant identifies the session's QoS tenant. It may ride any request
 	// (typically the first one a client sends) and moves the session to
 	// that tenant; absent or empty keeps the current tenant (sessions start
-	// on the default tenant). `\set tenant` reaches the same state via
-	// Settings["tenant"].
+	// on the default tenant). A tenant the server's configuration does not
+	// list shares the default tenant's in-flight pool. `\set tenant`
+	// reaches the same state via Settings["tenant"].
 	Tenant string `json:"tenant,omitempty"`
 }
 

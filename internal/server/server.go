@@ -69,12 +69,9 @@ type Config struct {
 	// HTTP mux. Off by default: the profiler can observe query contents, so
 	// exposing it is an explicit operator decision.
 	EnablePprof bool
-	// QoS is the per-tenant admission policy (token-bucket rate limits,
-	// in-flight caps, priority classes). Nil admits every tenant at normal
-	// priority. With QoS set, a tenant's priority also grades the global
-	// admission queue: low-priority tenants are shed once the queue is half
-	// full, normal at three quarters, high only when completely full — so
-	// under pressure batch tenants back off before dashboards.
+	// QoS is the per-tenant admission policy: in-flight caps checked
+	// before a query joins the worker-pool queue, so a capped tenant cannot
+	// occupy more than its share of the pool. Nil admits every tenant.
 	QoS *serving.QoS
 }
 
@@ -158,15 +155,6 @@ func New(cfg Config) (*Server, error) {
 	s.hQuery = r.Histogram("server_query_nanos")
 	s.mHTTPRequests = r.Counter("server_http_requests_total")
 	s.mProtoRequests = r.Counter("server_requests_total")
-	// Per-tenant result-cache budgets flow from the QoS policy into the
-	// engine's cache (sessions wire unlisted tenants lazily on \set tenant).
-	if cfg.QoS != nil {
-		for _, t := range cfg.QoS.Tenants() {
-			cfg.Engine.ResultCache().SetTenantBudget(t, cfg.QoS.Limits(t).ResultCacheBytes)
-		}
-		cfg.Engine.ResultCache().SetTenantBudget(serving.DefaultTenant,
-			cfg.QoS.Limits(serving.DefaultTenant).ResultCacheBytes)
-	}
 	return s, nil
 }
 
@@ -266,31 +254,17 @@ func (s *Server) track(conn net.Conn) func() {
 	}
 }
 
-// admit acquires a worker-pool slot, queueing up to the priority's share
-// of QueueDepth waiters and shedding beyond that. The returned release
-// function frees the slot.
-func (s *Server) admit(ctx context.Context, pri serving.Priority) (func(), error) {
+// admit acquires a worker-pool slot, queueing up to QueueDepth waiters and
+// shedding beyond that. The returned release function frees the slot.
+func (s *Server) admit(ctx context.Context) (func(), error) {
 	select {
 	case s.sem <- struct{}{}:
 		s.mAdmitted.Inc()
 		return func() { <-s.sem }, nil
 	default:
 	}
-	// No free slot: join the bounded queue or shed. Lower priorities see a
-	// smaller effective queue, so they are shed first under pressure.
-	depth := int64(s.cfg.QueueDepth)
-	if s.cfg.QoS != nil {
-		switch pri {
-		case serving.PriorityLow:
-			depth /= 2
-		case serving.PriorityNormal:
-			depth = depth * 3 / 4
-		}
-		if depth < 1 {
-			depth = 1
-		}
-	}
-	if s.queued.Add(1) > depth {
+	// No free slot: join the bounded queue or shed.
+	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
 		s.queued.Add(-1)
 		s.mShed.Inc()
 		return nil, ErrServerBusy

@@ -431,6 +431,24 @@ func TestServerTimeoutCancelsMidQuery(t *testing.T) {
 	}
 }
 
+// TestServerSetIsAtomic: a set request with one bad value is rejected as a
+// whole, so its valid keys must not leak into the session. Map iteration
+// order varies, so the request is retried until a leak would be certain.
+func TestServerSetIsAtomic(t *testing.T) {
+	eng := newTestEngine(t)
+	loadBigTable(t, eng, 200_000)
+	s := startServer(t, Config{Engine: eng})
+	c := dial(t, s)
+	for i := 0; i < 20; i++ {
+		if err := c.Set(map[string]string{"timeout_ms": "5", "parallelism": "-1"}); err == nil {
+			t.Fatal("set with a bad parallelism must fail")
+		}
+	}
+	if _, err := c.Query(slowQuery); err != nil {
+		t.Fatalf("rejected set leaked its timeout into the session: %v", err)
+	}
+}
+
 // TestServerCancelRequest cancels an in-flight query from the client side
 // (QueryContext deadline → wire cancel request) and checks the "canceled"
 // response plus continued session health.

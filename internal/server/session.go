@@ -26,16 +26,20 @@ type session struct {
 	conn   net.Conn
 	remote string // client remote address, annotates traces and slow-query log
 
-	// Settings, adjustable via "set" requests.
+	settings
+
+	// Prepared-statement cache: SQL text → parsed statement, FIFO-evicted.
+	cache      map[string]*patchindex.Prepared
+	cacheOrder []string
+}
+
+// settings are the session settings adjustable via "set" requests.
+type settings struct {
 	timeout         time.Duration // per-query deadline; 0 = none
 	maxRows         int           // result clip; 0 = unlimited
 	disableRewrites bool          // run baseline plans (no PatchIndex rewrites)
 	parallelism     int           // degree of parallelism; 0 = engine default, 1 = serial
 	tenant          string        // QoS tenant; sessions start on the default tenant
-
-	// Prepared-statement cache: SQL text → parsed statement, FIFO-evicted.
-	cache      map[string]*patchindex.Prepared
-	cacheOrder []string
 }
 
 // serveSession runs the request loop for one protocol connection. The magic
@@ -50,14 +54,16 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader) {
 	defer s.gActiveSess.Add(-1)
 
 	sess := &session{
-		srv:     s,
-		id:      s.nextSession.Add(1),
-		conn:    conn,
-		remote:  conn.RemoteAddr().String(),
-		timeout: s.cfg.DefaultTimeout,
-		maxRows: s.cfg.DefaultMaxRows,
-		tenant:  serving.DefaultTenant,
-		cache:   map[string]*patchindex.Prepared{},
+		srv:    s,
+		id:     s.nextSession.Add(1),
+		conn:   conn,
+		remote: conn.RemoteAddr().String(),
+		settings: settings{
+			timeout: s.cfg.DefaultTimeout,
+			maxRows: s.cfg.DefaultMaxRows,
+			tenant:  serving.DefaultTenant,
+		},
+		cache: map[string]*patchindex.Prepared{},
 	}
 	// Hello: tells the client its session id and tenant. Clients move to a
 	// tenant with the Tenant request field or `\set tenant`.
@@ -112,9 +118,10 @@ func (sess *session) handle(req *protocol.Request, reqCh chan *protocol.Request,
 	// A tenant riding any request moves the session (the wire-level
 	// equivalent of `\set tenant`); a bad id fails the request.
 	if req.Tenant != "" {
-		if err := sess.setTenant(req.Tenant); err != nil {
+		if err := serving.ValidateTenantID(req.Tenant); err != nil {
 			return sess.write(&protocol.Response{ID: req.ID, Error: err.Error(), Code: protocol.CodeError})
 		}
+		sess.tenant = req.Tenant
 	}
 	switch req.Type {
 	case protocol.TypeQuery:
@@ -239,15 +246,15 @@ wait:
 // (with the session cache), and runs one query.
 func (sess *session) execute(ctx context.Context, req *protocol.Request) (*protocol.Response, error) {
 	s := sess.srv
-	// Tenant QoS gates before the global queue: a rate-limited or
-	// at-capacity tenant is shed immediately and never occupies a queue
-	// slot another tenant could use.
+	// Tenant QoS gates before the global queue: an at-capacity tenant is
+	// shed immediately and never occupies a queue slot another tenant could
+	// use.
 	qosRelease, err := s.cfg.QoS.Admit(sess.tenant)
 	if err != nil {
 		return nil, err
 	}
 	defer qosRelease()
-	release, err := s.admit(ctx, s.cfg.QoS.Priority(sess.tenant))
+	release, err := s.admit(ctx)
 	if err != nil {
 		if errors.Is(err, ErrServerBusy) {
 			// Charge queue-level sheds to the tenant too.
@@ -267,7 +274,6 @@ func (sess *session) execute(ctx context.Context, req *protocol.Request) (*proto
 		SessionID:            sess.id,
 		ClientAddr:           sess.remote,
 		Parallelism:          sess.parallelism,
-		Tenant:               sess.tenant,
 	})
 	s.hQuery.Observe(time.Since(start))
 	if err != nil {
@@ -325,66 +331,52 @@ func (sess *session) render(id uint64, res *patchindex.Result) *protocol.Respons
 	return resp
 }
 
-// applySettings updates session settings from a "set" request.
+// applySettings updates session settings from a "set" request. Every key
+// is validated before any is applied, so a request with one bad value
+// leaves the session unchanged.
 func (sess *session) applySettings(req *protocol.Request) *protocol.Response {
+	next := sess.settings
 	var applied []string
 	for k, v := range req.Settings {
+		var err error
 		switch k {
 		case "timeout_ms":
-			ms, err := strconv.Atoi(v)
-			if err != nil || ms < 0 {
-				return &protocol.Response{ID: req.ID, Error: fmt.Sprintf("bad timeout_ms %q", v), Code: protocol.CodeError}
+			var ms int
+			if ms, err = nonNegative(v); err == nil {
+				next.timeout = time.Duration(ms) * time.Millisecond
 			}
-			sess.timeout = time.Duration(ms) * time.Millisecond
 		case "max_rows":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return &protocol.Response{ID: req.ID, Error: fmt.Sprintf("bad max_rows %q", v), Code: protocol.CodeError}
-			}
-			sess.maxRows = n
+			next.maxRows, err = nonNegative(v)
 		case "disable_rewrites":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return &protocol.Response{ID: req.ID, Error: fmt.Sprintf("bad disable_rewrites %q", v), Code: protocol.CodeError}
-			}
-			sess.disableRewrites = b
+			next.disableRewrites, err = strconv.ParseBool(v)
 		case "parallelism":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return &protocol.Response{ID: req.ID, Error: fmt.Sprintf("bad parallelism %q", v), Code: protocol.CodeError}
-			}
-			sess.parallelism = n
+			next.parallelism, err = nonNegative(v)
 		case "tenant":
-			if err := sess.setTenant(v); err != nil {
-				return &protocol.Response{ID: req.ID, Error: err.Error(), Code: protocol.CodeError}
+			if err = serving.ValidateTenantID(v); err == nil {
+				next.tenant = v
 			}
 		default:
 			return &protocol.Response{ID: req.ID, Error: fmt.Sprintf("unknown setting %q", k), Code: protocol.CodeError}
 		}
+		if err != nil {
+			if k != "tenant" { // ValidateTenantID's message already names the rule
+				err = fmt.Errorf("bad %s %q", k, v)
+			}
+			return &protocol.Response{ID: req.ID, Error: err.Error(), Code: protocol.CodeError}
+		}
 		applied = append(applied, k+"="+v)
 	}
+	sess.settings = next
 	return &protocol.Response{ID: req.ID, Message: "set " + strings.Join(applied, " ")}
 }
 
-// setTenant validates and applies a tenant id. Ids are restricted to
-// [A-Za-z0-9_-] so per-tenant metric names (`tenant.<id>.shed`) stay
-// unambiguous for the dot-separated alert-rule globs.
-func (sess *session) setTenant(id string) error {
-	if id == "" || len(id) > 64 {
-		return fmt.Errorf("bad tenant %q", id)
+// nonNegative parses a non-negative integer setting.
+func nonNegative(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = errors.New("negative")
 	}
-	for _, c := range id {
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-') {
-			return fmt.Errorf("bad tenant %q: use letters, digits, '_', '-'", id)
-		}
-	}
-	sess.tenant = id
-	// Lazily wire the tenant's result-cache budget (overrides were wired at
-	// server start; this covers tenants that only match the QoS defaults).
-	if qos := sess.srv.cfg.QoS; qos != nil {
-		sess.srv.eng.ResultCache().SetTenantBudget(id, qos.Limits(id).ResultCacheBytes)
-	}
-	return nil
+	return n, err
 }
 
 // write sends one response; false means the connection is dead.
@@ -408,7 +400,7 @@ func errorResponse(s *Server, id uint64, err error) *protocol.Response {
 		}
 	case errors.Is(err, ErrServerBusy):
 		code = protocol.CodeBusy
-	case errors.Is(err, serving.ErrThrottled), errors.Is(err, serving.ErrTenantBusy):
+	case errors.Is(err, serving.ErrTenantBusy):
 		code = protocol.CodeThrottled
 	case errors.Is(err, errShuttingDown):
 		code = protocol.CodeShutdown

@@ -1,102 +1,88 @@
 package serving
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"patchindex/internal/obs"
 )
 
 // DefaultTenant is the tenant sessions belong to until they identify
-// themselves (hello `tenant` field or `\set tenant`).
+// themselves (hello `tenant` field or `\set tenant`). It is also the shared
+// pool every tenant id missing from the configured tenants lands in.
 const DefaultTenant = "default"
-
-// ErrThrottled is returned by Admit when a tenant exceeds its token-bucket
-// rate limit.
-var ErrThrottled = errors.New("tenant rate limit exceeded")
 
 // ErrTenantBusy is returned by Admit when a tenant is at its in-flight cap.
 var ErrTenantBusy = errors.New("tenant in-flight limit reached")
 
-// Priority orders tenants for graduated admission shedding: lower
-// priorities are shed from the global queue earlier (at a smaller fraction
-// of the configured queue depth), so high-priority dashboards keep their
-// slots while batch tenants back off first.
-type Priority int
-
-const (
-	PriorityLow Priority = iota
-	PriorityNormal
-	PriorityHigh
-)
-
-// ParsePriority maps "low"/"normal"/"high" (default normal).
-func ParsePriority(s string) Priority {
-	switch s {
-	case "low":
-		return PriorityLow
-	case "high":
-		return PriorityHigh
-	default:
-		return PriorityNormal
-	}
-}
-
-func (p Priority) String() string {
-	switch p {
-	case PriorityLow:
-		return "low"
-	case PriorityHigh:
-		return "high"
-	default:
-		return "normal"
-	}
-}
-
-// TenantLimits configures one tenant (or the default for unlisted
-// tenants). Zero values mean unlimited / inherit.
+// TenantLimits configures one tenant (or the shared default pool).
 type TenantLimits struct {
-	// RatePerSec is the token-bucket refill rate (queries/second; 0 = no
-	// rate limit).
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	// Burst is the bucket capacity (0 = max(RatePerSec, 1)).
-	Burst float64 `json:"burst,omitempty"`
 	// MaxInFlight caps this tenant's concurrently executing queries
-	// (0 = unlimited; the global admission semaphore still applies).
+	// (0 = unlimited; the server's worker pool still applies).
 	MaxInFlight int `json:"max_in_flight,omitempty"`
-	// Priority is "low", "normal" (default), or "high".
-	Priority string `json:"priority,omitempty"`
-	// ResultCacheBytes caps this tenant's share of the result cache
-	// (0 = bounded only by the global budget).
-	ResultCacheBytes int64 `json:"result_cache_bytes,omitempty"`
 }
 
-// QoS tracks per-tenant admission state: token buckets, in-flight counts,
-// and priorities. Tenant state is created on first use; metrics are
-// registered per tenant as `tenant.<id>.shed` / `tenant.<id>.in_flight` /
-// `tenant.<id>.admitted` and ride the registry's auto-mirroring into
-// /metrics, /stats, and the time-series sampler. A nil *QoS admits
-// everything at normal priority, so the server needs no "is QoS on" checks.
-type QoS struct {
-	defaults  TenantLimits
-	overrides map[string]TenantLimits
-	reg       *obs.Registry
-	now       func() time.Time // injectable for tests
+// ValidateTenantID accepts ids of 1–64 characters from [A-Za-z0-9_-], so
+// per-tenant metric names (`tenant.<id>.shed`) stay unambiguous for the
+// dot-separated alert-rule globs.
+func ValidateTenantID(id string) error {
+	if id == "" || len(id) > 64 {
+		return fmt.Errorf("bad tenant %q", id)
+	}
+	for _, c := range id {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-') {
+			return fmt.Errorf("bad tenant %q: use letters, digits, '_', '-'", id)
+		}
+	}
+	return nil
+}
 
-	mu      sync.Mutex
-	tenants map[string]*tenantState
+// ParseTenants decodes a tenants document: a JSON object mapping tenant id
+// to TenantLimits. It is strict — unknown fields, invalid ids, negative
+// caps and trailing data are errors — so a misspelled limit fails at
+// startup instead of silently admitting without it.
+func ParseTenants(data []byte) (map[string]TenantLimits, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var tenants map[string]TenantLimits
+	if err := dec.Decode(&tenants); err != nil {
+		return nil, fmt.Errorf("tenants: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("tenants: trailing data after the JSON object")
+	}
+	for id, l := range tenants {
+		if err := ValidateTenantID(id); err != nil {
+			return nil, fmt.Errorf("tenants: %w", err)
+		}
+		if l.MaxInFlight < 0 {
+			return nil, fmt.Errorf("tenants: %s: negative max_in_flight %d", id, l.MaxInFlight)
+		}
+	}
+	return tenants, nil
+}
+
+// QoS caps each tenant's in-flight queries. The tenant set is fixed at
+// construction: every configured tenant gets its own state, and every
+// other id shares the DefaultTenant state, capped by the defaults. Wire
+// input therefore cannot grow the state or the metrics registry. Each
+// state registers `tenant.<id>.shed` / `tenant.<id>.in_flight` /
+// `tenant.<id>.admitted`, which ride the registry's auto-mirroring into
+// /metrics, /stats and the time-series sampler. A nil *QoS admits
+// everything, so the server needs no "is QoS on" checks.
+type QoS struct {
+	tenants map[string]*tenantState // read-only after NewQoS
 }
 
 type tenantState struct {
 	limits TenantLimits
-	pri    Priority
 
 	mu       sync.Mutex
-	tokens   float64
-	last     time.Time
 	inFlight int
 
 	mShed     *obs.Counter
@@ -104,121 +90,46 @@ type tenantState struct {
 	gInFlight *obs.Gauge
 }
 
-// NewQoS creates a QoS policy. defaults applies to tenants not listed in
-// overrides; reg may be nil (private registry).
+// NewQoS creates a QoS policy. defaults caps the shared pool of tenants not
+// listed in overrides; reg may be nil (private registry).
 func NewQoS(defaults TenantLimits, overrides map[string]TenantLimits, reg *obs.Registry) *QoS {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	q := &QoS{
-		defaults:  defaults,
-		overrides: make(map[string]TenantLimits, len(overrides)),
-		reg:       reg,
-		now:       time.Now,
-		tenants:   make(map[string]*tenantState),
+	q := &QoS{tenants: make(map[string]*tenantState, len(overrides)+1)}
+	add := func(tenant string, l TenantLimits) {
+		q.tenants[tenant] = &tenantState{
+			limits:    l,
+			mShed:     reg.Counter(fmt.Sprintf("tenant.%s.shed", tenant)),
+			mAdmitted: reg.Counter(fmt.Sprintf("tenant.%s.admitted", tenant)),
+			gInFlight: reg.Gauge(fmt.Sprintf("tenant.%s.in_flight", tenant)),
+		}
 	}
+	add(DefaultTenant, defaults)
 	for t, l := range overrides {
-		q.overrides[t] = l
+		add(t, l)
 	}
 	return q
 }
 
-// SetClock replaces the time source (tests only).
-func (q *QoS) SetClock(now func() time.Time) { q.now = now }
-
-// Limits returns the effective limits for a tenant.
-func (q *QoS) Limits(tenant string) TenantLimits {
-	if q == nil {
-		return TenantLimits{}
-	}
-	if l, ok := q.overrides[tenant]; ok {
-		return l
-	}
-	return q.defaults
-}
-
-// Tenants returns the explicitly configured tenant names, sorted.
-func (q *QoS) Tenants() []string {
-	if q == nil {
-		return nil
-	}
-	out := make([]string, 0, len(q.overrides))
-	for t := range q.overrides {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Priority returns the tenant's shed priority (normal for nil QoS).
-func (q *QoS) Priority(tenant string) Priority {
-	if q == nil {
-		return PriorityNormal
-	}
-	return ParsePriority(q.Limits(tenant).Priority)
-}
-
+// state returns the tenant's own state, or the shared default pool's.
 func (q *QoS) state(tenant string) *tenantState {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	ts, ok := q.tenants[tenant]
-	if !ok {
-		l := q.Limits(tenant)
-		burst := l.Burst
-		if burst <= 0 {
-			burst = l.RatePerSec
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		ts = &tenantState{
-			limits:    l,
-			pri:       ParsePriority(l.Priority),
-			tokens:    burst,
-			last:      q.now(),
-			mShed:     q.reg.Counter(fmt.Sprintf("tenant.%s.shed", tenant)),
-			mAdmitted: q.reg.Counter(fmt.Sprintf("tenant.%s.admitted", tenant)),
-			gInFlight: q.reg.Gauge(fmt.Sprintf("tenant.%s.in_flight", tenant)),
-		}
-		q.tenants[tenant] = ts
+	if ts, ok := q.tenants[tenant]; ok {
+		return ts
 	}
-	return ts
+	return q.tenants[DefaultTenant]
 }
 
-// Admit charges one query against the tenant's rate limit and in-flight
-// cap. On success it returns a release func the caller must invoke when
-// the query finishes. On failure it returns ErrThrottled or ErrTenantBusy
-// and counts a shed. Admit on a nil QoS always succeeds.
+// Admit charges one query against the tenant's in-flight cap. On success
+// it returns a release func the caller must invoke when the query
+// finishes. At the cap it returns ErrTenantBusy and counts a shed. Admit
+// on a nil QoS always succeeds.
 func (q *QoS) Admit(tenant string) (func(), error) {
 	if q == nil {
 		return func() {}, nil
 	}
 	ts := q.state(tenant)
 	ts.mu.Lock()
-	if ts.limits.RatePerSec > 0 {
-		now := q.now()
-		elapsed := now.Sub(ts.last).Seconds()
-		if elapsed > 0 {
-			burst := ts.limits.Burst
-			if burst <= 0 {
-				burst = ts.limits.RatePerSec
-				if burst < 1 {
-					burst = 1
-				}
-			}
-			ts.tokens += elapsed * ts.limits.RatePerSec
-			if ts.tokens > burst {
-				ts.tokens = burst
-			}
-			ts.last = now
-		}
-		if ts.tokens < 1 {
-			ts.mu.Unlock()
-			ts.mShed.Inc()
-			return nil, ErrThrottled
-		}
-		ts.tokens--
-	}
 	if ts.limits.MaxInFlight > 0 && ts.inFlight >= ts.limits.MaxInFlight {
 		ts.mu.Unlock()
 		ts.mShed.Inc()
@@ -251,33 +162,25 @@ func (q *QoS) Shed(tenant string) {
 type TenantSnapshot struct {
 	Tenant   string       `json:"tenant"`
 	Limits   TenantLimits `json:"limits"`
-	Priority string       `json:"priority"`
 	InFlight int          `json:"in_flight"`
 	Admitted int64        `json:"admitted"`
 	Shed     int64        `json:"shed"`
 }
 
-// Snapshot returns per-tenant QoS state for every tenant seen so far,
-// sorted by name.
+// Snapshot returns the state of every configured tenant and the default
+// pool, sorted by name.
 func (q *QoS) Snapshot() []TenantSnapshot {
 	if q == nil {
 		return nil
 	}
-	q.mu.Lock()
-	states := make(map[string]*tenantState, len(q.tenants))
+	out := make([]TenantSnapshot, 0, len(q.tenants))
 	for t, ts := range q.tenants {
-		states[t] = ts
-	}
-	q.mu.Unlock()
-	out := make([]TenantSnapshot, 0, len(states))
-	for t, ts := range states {
 		ts.mu.Lock()
 		inFlight := ts.inFlight
 		ts.mu.Unlock()
 		out = append(out, TenantSnapshot{
 			Tenant:   t,
 			Limits:   ts.limits,
-			Priority: ts.pri.String(),
 			InFlight: inFlight,
 			Admitted: ts.mAdmitted.Value(),
 			Shed:     ts.mShed.Value(),

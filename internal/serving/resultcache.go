@@ -17,9 +17,8 @@ const DefaultResultCacheBytes = 32 << 20 // 32 MiB
 // differs from the cached one proves the underlying tables changed; the
 // entry is dropped and the miss is counted as a stale eviction, so readers
 // can never observe pre-append rows. Eviction is LRU under a global byte
-// budget, with optional per-tenant byte budgets enforced first (a noisy
-// tenant evicts its own entries before anyone else's). Entries larger than
-// maxEntry (budget/8) bypass the cache entirely.
+// budget. Entries larger than maxEntry (budget/8) bypass the cache
+// entirely.
 //
 // The cache is a single mutex-protected structure: it is only consulted for
 // statements that were already going to execute, so a hit saves orders of
@@ -27,14 +26,12 @@ const DefaultResultCacheBytes = 32 << 20 // 32 MiB
 type ResultCache struct {
 	enabled atomic.Bool
 
-	mu        sync.Mutex
-	budget    int64
-	maxEntry  int64
-	used      int64
-	buckets   map[uint64][]*resultEntry
-	lru       *list.List // front = most recently used; values are *resultEntry
-	perTenant map[string]int64
-	tenantCap map[string]int64
+	mu       sync.Mutex
+	budget   int64
+	maxEntry int64
+	used     int64
+	buckets  map[uint64][]*resultEntry
+	lru      *list.List // front = most recently used; values are *resultEntry
 
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -50,7 +47,6 @@ type resultEntry struct {
 	text     string
 	opts     OptsKey
 	versions []uint64
-	tenant   string
 	bytes    int64
 	value    any
 	elem     *list.Element
@@ -70,8 +66,6 @@ func NewResultCache(budgetBytes int64, reg *obs.Registry) *ResultCache {
 		maxEntry:  budgetBytes / 8,
 		buckets:   make(map[uint64][]*resultEntry),
 		lru:       list.New(),
-		perTenant: make(map[string]int64),
-		tenantCap: make(map[string]int64),
 		hits:      reg.Counter("serving_result_cache_hits_total"),
 		misses:    reg.Counter("serving_result_cache_misses_total"),
 		evictions: reg.Counter("serving_result_cache_evictions_total"),
@@ -91,22 +85,6 @@ func (c *ResultCache) SetEnabled(on bool) {
 
 // Enabled reports whether the cache serves entries (one atomic load).
 func (c *ResultCache) Enabled() bool { return c != nil && c.enabled.Load() }
-
-// SetTenantBudget caps the bytes one tenant's results may occupy (0 removes
-// the cap; the global budget still applies). The server wires QoS memory
-// limits through here at startup.
-func (c *ResultCache) SetTenantBudget(tenant string, bytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if bytes <= 0 {
-		delete(c.tenantCap, tenant)
-	} else {
-		c.tenantCap[tenant] = bytes
-	}
-	c.mu.Unlock()
-}
 
 // Get returns the result cached for (text, opts) if its version stamp
 // vector still matches; a mismatch drops the stale entry. The caller must
@@ -140,9 +118,9 @@ func (c *ResultCache) Get(text string, opts OptsKey, versions []uint64) (any, bo
 	return nil, false
 }
 
-// Put stores a result for (text, opts) at the given version stamps,
-// attributing its bytes to tenant. Oversized results are bypassed.
-func (c *ResultCache) Put(text string, opts OptsKey, versions []uint64, tenant string, size int64, value any) {
+// Put stores a result for (text, opts) at the given version stamps.
+// Oversized results are bypassed.
+func (c *ResultCache) Put(text string, opts OptsKey, versions []uint64, size int64, value any) {
 	if !c.Enabled() {
 		return
 	}
@@ -162,52 +140,24 @@ func (c *ResultCache) Put(text string, opts OptsKey, versions []uint64, tenant s
 			break
 		}
 	}
-	if cap, ok := c.tenantCap[tenant]; ok {
-		for c.perTenant[tenant]+size > cap {
-			if !c.evictOldestLocked(tenant) {
-				break
-			}
-			evicted++
-		}
-		if c.perTenant[tenant]+size > cap {
-			c.mu.Unlock()
-			c.evictions.Add(int64(evicted))
-			c.bypass.Inc()
-			return
-		}
-	}
 	for c.used+size > c.budget {
-		if !c.evictOldestLocked("") {
+		el := c.lru.Back()
+		if el == nil {
 			break
 		}
+		c.removeLocked(el.Value.(*resultEntry))
 		evicted++
 	}
 	vs := append([]uint64(nil), versions...)
-	e := &resultEntry{hash: h, text: text, opts: opts, versions: vs, tenant: tenant, bytes: size, value: value}
+	e := &resultEntry{hash: h, text: text, opts: opts, versions: vs, bytes: size, value: value}
 	e.elem = c.lru.PushFront(e)
 	c.buckets[h] = append(c.buckets[h], e)
 	c.used += size
-	c.perTenant[tenant] += size
 	used, n := c.used, c.lru.Len()
 	c.mu.Unlock()
 	c.evictions.Add(int64(evicted))
 	c.bytes.Set(used)
 	c.entries.Set(int64(n))
-}
-
-// evictOldestLocked drops the least recently used entry, or the least
-// recently used entry of the given tenant when tenant != "". It reports
-// whether anything was evicted. Caller holds c.mu.
-func (c *ResultCache) evictOldestLocked(tenant string) bool {
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*resultEntry)
-		if tenant != "" && e.tenant != tenant {
-			continue
-		}
-		c.removeLocked(e)
-		return true
-	}
-	return false
 }
 
 // removeLocked unlinks e and releases its byte accounting. Caller holds c.mu.
@@ -227,10 +177,6 @@ func (c *ResultCache) removeLocked(e *resultEntry) {
 	}
 	c.lru.Remove(e.elem)
 	c.used -= e.bytes
-	c.perTenant[e.tenant] -= e.bytes
-	if c.perTenant[e.tenant] <= 0 {
-		delete(c.perTenant, e.tenant)
-	}
 	c.bytes.Set(c.used)
 	c.entries.Set(int64(c.lru.Len()))
 }
@@ -249,34 +195,28 @@ func versionsEqual(a, b []uint64) bool {
 
 // ResultCacheStats is the /stats serving section for the result cache.
 type ResultCacheStats struct {
-	Enabled        bool             `json:"enabled"`
-	Entries        int              `json:"entries"`
-	Bytes          int64            `json:"bytes"`
-	BudgetBytes    int64            `json:"budget_bytes"`
-	Hits           uint64           `json:"hits"`
-	Misses         uint64           `json:"misses"`
-	Evictions      uint64           `json:"evictions"`
-	StaleEvictions uint64           `json:"stale_evictions"`
-	Bypassed       uint64           `json:"bypassed"`
-	BytesByTenant  map[string]int64 `json:"bytes_by_tenant,omitempty"`
+	Enabled        bool   `json:"enabled"`
+	Entries        int    `json:"entries"`
+	Bytes          int64  `json:"bytes"`
+	BudgetBytes    int64  `json:"budget_bytes"`
+	Hits           uint64 `json:"hits"`
+	Misses         uint64 `json:"misses"`
+	Evictions      uint64 `json:"evictions"`
+	StaleEvictions uint64 `json:"stale_evictions"`
+	Bypassed       uint64 `json:"bypassed"`
 }
 
-// Stats snapshots the cache counters and per-tenant byte accounting.
+// Stats snapshots the cache counters and byte accounting.
 func (c *ResultCache) Stats() ResultCacheStats {
 	if c == nil {
 		return ResultCacheStats{}
 	}
 	c.mu.Lock()
-	byTenant := make(map[string]int64, len(c.perTenant))
-	for t, b := range c.perTenant {
-		byTenant[t] = b
-	}
 	s := ResultCacheStats{
-		Enabled:       c.Enabled(),
-		Entries:       c.lru.Len(),
-		Bytes:         c.used,
-		BudgetBytes:   c.budget,
-		BytesByTenant: byTenant,
+		Enabled:     c.Enabled(),
+		Entries:     c.lru.Len(),
+		Bytes:       c.used,
+		BudgetBytes: c.budget,
 	}
 	c.mu.Unlock()
 	s.Hits = uint64(c.hits.Value())

@@ -1,7 +1,5 @@
 // Package serving implements the multi-tenant serving fast path: a
-// versioned byte-budget result cache and per-tenant QoS (token-bucket rate
-// limits, in-flight caps, and priority classes used for graduated
-// admission shedding).
+// versioned byte-budget result cache and per-tenant QoS (in-flight caps).
 //
 // The result cache is deliberately value-agnostic: it stores `any`
 // payloads so the package depends only on internal/obs. The engine owns

@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"patchindex/internal/obs"
 )
@@ -14,7 +13,7 @@ func TestResultCacheVersionInvalidation(t *testing.T) {
 	c := NewResultCache(1<<20, nil)
 	c.SetEnabled(true)
 	opts := OptsKey{}
-	c.Put("q", opts, []uint64{10, 20}, "t1", 100, "rows-v1")
+	c.Put("q", opts, []uint64{10, 20}, 100, "rows-v1")
 	if v, ok := c.Get("q", opts, []uint64{10, 20}); !ok || v.(string) != "rows-v1" {
 		t.Fatalf("expected hit, got %v %v", v, ok)
 	}
@@ -36,12 +35,12 @@ func TestResultCacheByteBudget(t *testing.T) {
 	c.SetEnabled(true)
 	opts := OptsKey{}
 	// maxEntry = 125; anything larger bypasses.
-	c.Put("big", opts, nil, "t", 500, "x")
+	c.Put("big", opts, nil, 500, "x")
 	if _, ok := c.Get("big", opts, nil); ok {
 		t.Fatal("oversized entry must bypass")
 	}
 	for i := 0; i < 12; i++ {
-		c.Put(fmt.Sprintf("q%d", i), opts, nil, "t", 100, i)
+		c.Put(fmt.Sprintf("q%d", i), opts, nil, 100, i)
 	}
 	st := c.Stats()
 	if st.Bytes > 1000 {
@@ -56,84 +55,6 @@ func TestResultCacheByteBudget(t *testing.T) {
 	}
 	if _, ok := c.Get("q11", opts, nil); !ok {
 		t.Fatal("q11 should survive")
-	}
-}
-
-func TestResultCacheTenantBudget(t *testing.T) {
-	c := NewResultCache(10_000, nil)
-	c.SetEnabled(true)
-	c.SetTenantBudget("small", 250)
-	opts := OptsKey{}
-	c.Put("a", opts, nil, "small", 100, "a")
-	c.Put("b", opts, nil, "small", 100, "b")
-	c.Put("c", opts, nil, "small", 100, "c") // evicts "a" (tenant budget)
-	if _, ok := c.Get("a", opts, nil); ok {
-		t.Fatal("tenant budget should have evicted a")
-	}
-	if _, ok := c.Get("c", opts, nil); !ok {
-		t.Fatal("c should be cached")
-	}
-	if got := c.Stats().BytesByTenant["small"]; got != 200 {
-		t.Fatalf("tenant bytes = %d, want 200", got)
-	}
-	// Other tenants are unaffected.
-	c.Put("d", opts, nil, "other", 100, "d")
-	if _, ok := c.Get("d", opts, nil); !ok {
-		t.Fatal("other tenant should cache freely")
-	}
-	// An entry larger than the tenant budget bypasses without touching
-	// other tenants' entries.
-	c.Put("huge", opts, nil, "small", 300, "huge")
-	if _, ok := c.Get("huge", opts, nil); ok {
-		t.Fatal("over-tenant-budget entry must bypass")
-	}
-	if _, ok := c.Get("d", opts, nil); !ok {
-		t.Fatal("other tenant entry must survive")
-	}
-}
-
-func TestQoSTokenBucket(t *testing.T) {
-	now := time.Unix(1000, 0)
-	q := NewQoS(TenantLimits{}, map[string]TenantLimits{
-		"batch": {RatePerSec: 2, Burst: 2},
-	}, nil)
-	q.SetClock(func() time.Time { return now })
-
-	// Burst of 2 admits twice, then throttles.
-	for i := 0; i < 2; i++ {
-		rel, err := q.Admit("batch")
-		if err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
-		rel()
-	}
-	if _, err := q.Admit("batch"); err != ErrThrottled {
-		t.Fatalf("expected ErrThrottled, got %v", err)
-	}
-	// Half a second refills one token.
-	now = now.Add(500 * time.Millisecond)
-	rel, err := q.Admit("batch")
-	if err != nil {
-		t.Fatalf("after refill: %v", err)
-	}
-	rel()
-	if _, err := q.Admit("batch"); err != ErrThrottled {
-		t.Fatalf("bucket should be dry again, got %v", err)
-	}
-	// Default tenant is unlimited.
-	for i := 0; i < 100; i++ {
-		rel, err := q.Admit("dash")
-		if err != nil {
-			t.Fatalf("unlimited tenant throttled: %v", err)
-		}
-		rel()
-	}
-	snaps := q.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("expected 2 tenants, got %d", len(snaps))
-	}
-	if snaps[0].Tenant != "batch" || snaps[0].Shed != 2 || snaps[0].Admitted != 3 {
-		t.Fatalf("batch snapshot: %+v", snaps[0])
 	}
 }
 
@@ -162,34 +83,64 @@ func TestQoSInFlightCap(t *testing.T) {
 	}
 }
 
-func TestQoSPriorityAndNil(t *testing.T) {
-	q := NewQoS(TenantLimits{Priority: "low"}, map[string]TenantLimits{
-		"dash": {Priority: "high"},
-	}, nil)
-	if q.Priority("dash") != PriorityHigh || q.Priority("anyone") != PriorityLow {
-		t.Fatal("priority resolution wrong")
+// TestQoSUnlistedTenantsSharePool: ids missing from the configured tenants
+// share the default pool and its cap, so wire input cannot mint new
+// tenant state; a configured tenant keeps its own cap.
+func TestQoSUnlistedTenantsSharePool(t *testing.T) {
+	reg := obs.NewRegistry()
+	q := NewQoS(TenantLimits{MaxInFlight: 1}, map[string]TenantLimits{"vip": {}}, reg)
+	rel, err := q.Admit("a")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := q.Admit("b"); err != ErrTenantBusy {
+		t.Fatalf("unlisted tenant b must share a's pool, got %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := q.Admit("vip"); err != nil {
+			t.Fatalf("configured uncapped tenant: %v", err)
+		}
+	}
+	rel()
+	snaps := q.Snapshot()
+	if len(snaps) != 2 || snaps[0].Tenant != DefaultTenant || snaps[1].Tenant != "vip" {
+		t.Fatalf("snapshot tenants: %+v", snaps)
+	}
+	if snaps[0].Admitted != 1 || snaps[0].Shed != 1 || snaps[1].InFlight != 3 {
+		t.Fatalf("snapshot counts: %+v", snaps)
+	}
+	for name := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "tenant.a.") || strings.HasPrefix(name, "tenant.b.") {
+			t.Fatalf("unlisted tenant registered metric %q", name)
+		}
+	}
+}
+
+func TestQoSNil(t *testing.T) {
 	var nilQ *QoS
 	rel, err := nilQ.Admit("x")
 	if err != nil {
 		t.Fatal("nil QoS must admit")
 	}
 	rel()
-	if nilQ.Priority("x") != PriorityNormal {
-		t.Fatal("nil QoS priority must be normal")
-	}
 	nilQ.Shed("x") // must not panic
+	if nilQ.Snapshot() != nil {
+		t.Fatal("nil QoS must have no snapshot")
+	}
 }
 
 func TestQoSMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
-	q := NewQoS(TenantLimits{RatePerSec: 0.0001, Burst: 1}, nil, reg)
+	q := NewQoS(TenantLimits{}, map[string]TenantLimits{"acme": {MaxInFlight: 1}}, reg)
 	rel, err := q.Admit("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Admit("acme"); err == nil {
-		t.Fatal("second admit should throttle")
+	if got := reg.Snapshot().Gauges["tenant.acme.in_flight"]; got != 1 {
+		t.Fatalf("tenant.acme.in_flight = %d while admitted, want 1", got)
+	}
+	if _, err := q.Admit("acme"); err != ErrTenantBusy {
+		t.Fatalf("second admit: want ErrTenantBusy, got %v", err)
 	}
 	rel()
 	snap := reg.Snapshot()
@@ -199,8 +150,38 @@ func TestQoSMetricsRegistered(t *testing.T) {
 	if snap.Counters["tenant.acme.admitted"] != 1 {
 		t.Fatalf("tenant.acme.admitted = %d", snap.Counters["tenant.acme.admitted"])
 	}
-	if _, ok := snap.Gauges["tenant.acme.in_flight"]; !ok {
-		t.Fatal("tenant.acme.in_flight gauge missing")
+	if got, ok := snap.Gauges["tenant.acme.in_flight"]; !ok || got != 0 {
+		t.Fatalf("tenant.acme.in_flight = %d (present %v) after release, want 0", got, ok)
+	}
+}
+
+// TestParseTenants: the tenants file is strict. Fields of deleted limits,
+// misspelled fields, invalid ids, negative caps and trailing data fail
+// instead of silently dropping a limit.
+func TestParseTenants(t *testing.T) {
+	got, err := ParseTenants([]byte(`{"batch": {"max_in_flight": 1}, "dash": {}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got["batch"].MaxInFlight != 1 || got["dash"].MaxInFlight != 0 {
+		t.Fatalf("parsed %+v", got)
+	}
+	for _, bad := range []string{
+		`{"batch": {"rate_per_sec": 5}}`,
+		`{"batch": {"burst": 5}}`,
+		`{"batch": {"priority": "low"}}`,
+		`{"batch": {"result_cache_bytes": 1024}}`,
+		`{"batch": {"max_inflight": 1}}`,
+		`{"bad tenant": {"max_in_flight": 1}}`,
+		`{"t.x": {}}`,
+		`{"batch": {"max_in_flight": -1}}`,
+		`{"batch": {}} {"dash": {}}`,
+		`[1]`,
+		``,
+	} {
+		if _, err := ParseTenants([]byte(bad)); err == nil {
+			t.Errorf("ParseTenants(%s) succeeded, want an error", bad)
+		}
 	}
 }
 

@@ -111,12 +111,9 @@ func (e *Engine) lookupCachedResult(ctx context.Context, query string, stamp res
 	return &Result{Columns: cr.columns, Rows: cr.rows}, true
 }
 
-func (e *Engine) storeCachedResult(query string, stamp resultStamp, tenant string, res *Result) {
-	if tenant == "" {
-		tenant = serving.DefaultTenant
-	}
+func (e *Engine) storeCachedResult(query string, stamp resultStamp, res *Result) {
 	cr := &cachedResult{columns: res.Columns, rows: res.Rows, bytes: estimateResultBytes(res)}
-	e.resultCache.Put(query, stamp.key, stamp.versions, tenant, cr.bytes, cr)
+	e.resultCache.Put(query, stamp.key, stamp.versions, cr.bytes, cr)
 }
 
 // estimateResultBytes approximates a result's resident size for the byte
